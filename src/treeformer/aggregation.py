@@ -1,21 +1,24 @@
 """Cross-layer fusion: pairwise formulas, the residual tree, and baselines.
 
-The tree aggregator consumes an ordered list of per-layer outputs whose
-length must be a power of two (at least 2).  Leaves are paired into a
-complete binary tree evaluated bottom-up in post-order.  Every internal
-node fuses its children with its own independently parameterized formula;
-at every node except the final (root) one, the value of the right child --
-the one covering deeper layers -- is added back as a residual.
+Every pairwise structure is a binary fusion graph over the ordered layer
+outputs, run by one engine (``TreeAggregator``) from a post-order plan of
+nodes.  Each node fuses two slots with its own independently parameterized
+formula and may add its right operand back as a residual.
 
-Flat baselines: a softmax-weighted linear combination of all layer outputs,
-an iterative left fold of the pairwise formula, and the same complete tree
-with every residual connection removed.
+- ``rtal``: a complete binary tree over 2^n layers (n >= 1); every node
+  except the root adds its right child -- the one covering deeper layers --
+  back as a residual.
+- ``cnn_tree``: the same tree with every residual removed.
+- ``iterative``: the left-deep fold y_l = AGG(h_l, y_{l-1}), no residuals.
+
+The remaining baseline, ``linear``, is a softmax-weighted sum of all layers.
 """
 
 from __future__ import annotations
 
+import math
 from functools import reduce
-from typing import List
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -34,7 +37,22 @@ from .tensor import (
 )
 
 FORMULAS = ("mean", "concat_ffn", "ewp_ffn")
-STRUCTURES = ("none", "rtal", "linear", "iterative", "cnn_tree")
+STRUCTURES = ("none", "linear", "iterative", "cnn_tree", "rtal")
+# Structures built on the complete binary tree, mapped to whether their
+# nodes carry residuals; they fuse a span of 2^n layers.
+TREES = {"cnn_tree": False, "rtal": True}
+
+
+def tree_span(num_layers: int) -> int:
+    """Layers covered by a tree aggregator: the largest 2^n <= num_layers."""
+    return 1 << int(math.floor(math.log2(num_layers)))
+
+
+def input_span(structure: str, num_layers: int) -> int:
+    """Trailing layer outputs fused by ``structure`` in a stack of ``num_layers``."""
+    if structure == "none":
+        return 0
+    return tree_span(num_layers) if structure in TREES else num_layers
 
 
 class MeanFormula:
@@ -108,75 +126,76 @@ def formula_param_count(kind: str, d_model: int, inner_dim: int) -> int:
     raise ValueError(f"unknown aggregation formula {kind!r}")
 
 
-class _Node:
-    __slots__ = ("left", "right", "formula", "residual")
+class FusionNode(NamedTuple):
+    left: int        # slot of the left operand
+    right: int       # slot of the right operand, added back when ``residual``
+    formula: object
+    residual: bool
 
-    def __init__(self, left, right, formula, residual):
-        self.left = left  # _Node or int leaf index
-        self.right = right
-        self.formula = formula
-        self.residual = residual
+
+def balanced_pairs(num_inputs: int) -> List[Tuple[int, int]]:
+    """Post-order (left, right) slots of a complete binary tree over 2^n inputs."""
+    if num_inputs < 2 or num_inputs & (num_inputs - 1):
+        raise ShapeError(
+            f"tree aggregation requires 2^n inputs with n >= 1, got {num_inputs}"
+        )
+    pairs: List[Tuple[int, int]] = []
+
+    def build(lo: int, hi: int) -> int:
+        if hi - lo == 1:
+            return lo
+        mid = (lo + hi) // 2
+        pairs.append((build(lo, mid), build(mid, hi)))
+        return num_inputs + len(pairs) - 1
+
+    build(0, num_inputs)
+    return pairs
 
 
 class TreeAggregator:
-    """Complete binary tree over 2^n ordered inputs, fused bottom-up.
+    """Binary fusion graph over ordered inputs, evaluated from a post-order plan.
 
-    With ``residuals=True`` every internal node except the root adds its
-    right child's value back after fusing; ``residuals=False`` gives the
-    plain tree used as the no-residual baseline.
+    Inputs fill slots 0..n-1 and node i writes slot n+i; the last slot is
+    the output.  The default plan is the complete tree over 2^n inputs.
+    With ``residuals=True`` every node except the root adds its right
+    operand back after fusing; ``residuals=False`` gives the plain tree used
+    as the no-residual baseline.
     """
+
+    param_group = "nodes"
 
     def __init__(self, num_inputs, formula_kind, d_model, inner_dim, dropout_rate,
                  ln_eps, rng, dtype=np.float32, residuals=True):
-        if num_inputs < 2 or num_inputs & (num_inputs - 1):
-            raise ShapeError(
-                f"tree aggregation requires 2^n inputs with n >= 1, got {num_inputs}"
-            )
+        self._plant(num_inputs, balanced_pairs(num_inputs), residuals,
+                    (formula_kind, d_model, inner_dim, dropout_rate, ln_eps, rng, dtype))
+
+    def _plant(self, num_inputs, pairs, residuals, formula_args) -> None:
+        # formulas are drawn in post-order, one per node; the root never
+        # carries a residual
         self.num_inputs = num_inputs
-        self.nodes: List[_Node] = []  # post-order
+        root = len(pairs) - 1
+        self.nodes = [FusionNode(left, right, make_formula(*formula_args), residuals and i != root)
+                      for i, (left, right) in enumerate(pairs)]
 
-        def build(lo: int, hi: int) -> object:
-            if hi - lo == 1:
-                return lo
-            mid = (lo + hi) // 2
-            left = build(lo, mid)
-            right = build(mid, hi)
-            node = _Node(left, right,
-                         make_formula(formula_kind, d_model, inner_dim, dropout_rate,
-                                      ln_eps, rng, dtype),
-                         residuals)
-            self.nodes.append(node)
-            return node
-
-        root = build(0, num_inputs)
-        root.residual = False
-        self.root = root
+    @property
+    def root(self) -> FusionNode:
+        return self.nodes[-1]
 
     def apply(self, layer_outputs: List[Tensor], rng=None) -> Tensor:
         if len(layer_outputs) != self.num_inputs:
             raise ShapeError(
-                f"tree aggregator built for {self.num_inputs} inputs, got {len(layer_outputs)}"
+                f"{type(self).__name__} built for {self.num_inputs} inputs, got {len(layer_outputs)}"
             )
-
-        def evaluate(node):
-            if isinstance(node, int):
-                return layer_outputs[node]
-            left = evaluate(node.left)
-            right = evaluate(node.right)
-            value = node.formula.apply(left, right, rng)
-            if node.residual:
-                value = add(value, right)
-            return value
-
-        return evaluate(self.root)
+        slots = list(layer_outputs)
+        for node in self.nodes:
+            right = slots[node.right]
+            value = node.formula.apply(slots[node.left], right, rng)
+            slots.append(add(value, right) if node.residual else value)
+        return slots[-1]
 
     def named_parameters(self, prefix: str) -> NamedParams:
         for i, node in enumerate(self.nodes):
-            yield from node.formula.named_parameters(f"{prefix}.nodes.{i}")
-
-
-def rtal_aggregate(tree: TreeAggregator, layer_outputs: List[Tensor], rng=None) -> Tensor:
-    return tree.apply(layer_outputs, rng)
+            yield from node.formula.named_parameters(f"{prefix}.{self.param_group}.{i}")
 
 
 class LinearCombination:
@@ -203,36 +222,23 @@ class LinearCombination:
         yield f"{prefix}.weights", self.weights
 
 
-class IterativeCombination:
-    """Left fold y_l = AGG(h_l, y_{l-1}); one formula instance per fold step."""
+class IterativeCombination(TreeAggregator):
+    """Left fold y_l = AGG(h_l, y_{l-1}): the left-deep plan with no residuals."""
+
+    param_group = "steps"
 
     def __init__(self, num_inputs, formula_kind, d_model, inner_dim, dropout_rate,
                  ln_eps, rng, dtype=np.float32):
         if num_inputs < 1:
             raise ShapeError("iterative combination needs at least one input")
-        self.num_inputs = num_inputs
-        self.steps = [
-            make_formula(formula_kind, d_model, inner_dim, dropout_rate, ln_eps, rng, dtype)
-            for _ in range(num_inputs - 1)
-        ]
+        # step i fuses input i+1 with the previous step's slot (input 0 first)
+        pairs = [(i + 1, num_inputs + i - 1 if i else 0) for i in range(num_inputs - 1)]
+        self._plant(num_inputs, pairs, False,
+                    (formula_kind, d_model, inner_dim, dropout_rate, ln_eps, rng, dtype))
 
-    def apply(self, layer_outputs: List[Tensor], rng=None) -> Tensor:
-        if len(layer_outputs) != self.num_inputs:
-            raise ShapeError(
-                f"iterative combination built for {self.num_inputs} inputs, got {len(layer_outputs)}"
-            )
-        acc = layer_outputs[0]
-        for h, formula in zip(layer_outputs[1:], self.steps):
-            acc = formula.apply(h, acc, rng)
-        return acc
-
-    def named_parameters(self, prefix: str) -> NamedParams:
-        for i, step in enumerate(self.steps):
-            yield from step.named_parameters(f"{prefix}.steps.{i}")
-
-
-def baseline_aggregate(agg, layer_outputs: List[Tensor], rng=None) -> Tensor:
-    return agg.apply(layer_outputs, rng)
+    # Bound in this class body too, so per-class method wrappers (the span
+    # tracer patches ``cls.__dict__["apply"]``) see it exactly once per class.
+    apply = TreeAggregator.apply
 
 
 def build_aggregator(structure, formula_kind, num_inputs, d_model, inner_dim,
@@ -240,17 +246,14 @@ def build_aggregator(structure, formula_kind, num_inputs, d_model, inner_dim,
     """Instantiate the aggregator for one stack, or None for structure 'none'."""
     if structure == "none":
         return None
-    if structure == "rtal":
-        return TreeAggregator(num_inputs, formula_kind, d_model, inner_dim,
-                              dropout_rate, ln_eps, rng, dtype, residuals=True)
-    if structure == "cnn_tree":
-        return TreeAggregator(num_inputs, formula_kind, d_model, inner_dim,
-                              dropout_rate, ln_eps, rng, dtype, residuals=False)
     if structure == "linear":
         return LinearCombination(num_inputs, rng, dtype)
     if structure == "iterative":
         return IterativeCombination(num_inputs, formula_kind, d_model, inner_dim,
                                     dropout_rate, ln_eps, rng, dtype)
+    if structure in TREES:
+        return TreeAggregator(num_inputs, formula_kind, d_model, inner_dim,
+                              dropout_rate, ln_eps, rng, dtype, residuals=TREES[structure])
     raise ValueError(f"unknown aggregation structure {structure!r}, expected one of {STRUCTURES}")
 
 
@@ -258,10 +261,8 @@ def aggregator_param_count(structure, formula_kind, num_inputs, d_model, inner_d
     """Closed-form trainable-scalar count for one stack's aggregator."""
     if structure == "none":
         return 0
-    if structure in ("rtal", "cnn_tree"):
-        return (num_inputs - 1) * formula_param_count(formula_kind, d_model, inner_dim)
     if structure == "linear":
         return num_inputs
-    if structure == "iterative":
+    if structure == "iterative" or structure in TREES:
         return (num_inputs - 1) * formula_param_count(formula_kind, d_model, inner_dim)
     raise ValueError(f"unknown aggregation structure {structure!r}")

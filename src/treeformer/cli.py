@@ -18,10 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import aggregation
 from .checkpoint import list_checkpoints, save_checkpoint
 from .decoding import beam_search
 from .diagnostics import gradient_suite
 from .model import (
+    POSITIONS,
     ConfigError,
     ModelConfig,
     aggregated_span,
@@ -79,14 +81,18 @@ def _build_section(name: str, cls, raw: dict):
     return cls(**raw)
 
 
-def load_experiment(path, overrides=()) -> ExperimentConfig:
+def _read_json(path):
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+
+
+def load_experiment(path, overrides=()) -> ExperimentConfig:
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("experiment config must be a JSON object")
     unknown = set(raw) - {"model", "task", "training", "out_dir", "seed"}
@@ -172,13 +178,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_params(args) -> int:
-    try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {args.config}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {args.config} is not valid JSON: {exc}")
+    raw = _read_json(args.config)
     model_raw = raw.get("model", raw) if isinstance(raw, dict) else None
     if model_raw is None:
         raise ConfigError("params expects a model or experiment config")
@@ -234,9 +234,9 @@ def cmd_average(args) -> int:
 
 
 _AXIS_VALUES = {
-    "position": ("encoder", "decoder", "both"),
-    "formula": ("mean", "concat_ffn", "ewp_ffn"),
-    "structure": ("none", "linear", "iterative", "cnn_tree", "rtal"),
+    "position": POSITIONS,
+    "formula": aggregation.FORMULAS,
+    "structure": aggregation.STRUCTURES,
 }
 
 

@@ -15,7 +15,8 @@ from . import aggregation
 from .model import AggregationSpec, ModelConfig, build
 from .nn import FeedForward, LayerNorm, MultiHeadAttention, label_smoothed_ce
 from .tasks import make_batch
-from .tensor import Tape, Tensor, grad_check, softmax_last_dim, sum_all, mul_elementwise
+from .tensor import (Tape, Tensor, finite_difference_error, grad_check, mul_elementwise,
+                     softmax_last_dim, sum_all)
 
 
 def check_param_grads(loss_fn: Callable[[], Tensor], params: Dict[str, Tensor],
@@ -34,22 +35,8 @@ def check_param_grads(loss_fn: Callable[[], Tensor], params: Dict[str, Tensor],
         name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
         for name, p in params.items()
     }
-    errors: Dict[str, float] = {}
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        numeric = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = loss_fn().item()
-            flat[i] = orig - step
-            lo = loss_fn().item()
-            flat[i] = orig
-            numeric[i] = (hi - lo) / (2.0 * step)
-        a = analytic[name].reshape(-1)
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
-        errors[name] = float((np.abs(a - numeric) / denom).max()) if flat.size else 0.0
-    return errors
+    return {name: finite_difference_error(lambda: loss_fn().item(), p.data, analytic[name], step)
+            for name, p in params.items()}
 
 
 @dataclass

@@ -18,6 +18,7 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from . import aggregation
+from .aggregation import tree_span  # noqa: F401  (public here as model.tree_span)
 from .nn import (
     DecoderLayer,
     Embedding,
@@ -38,7 +39,7 @@ POSITIONS = ("encoder", "decoder", "both")
 
 @dataclass
 class AggregationSpec:
-    structure: str = "none"   # none | rtal | linear | iterative | cnn_tree
+    structure: str = "none"   # none | linear | iterative | cnn_tree | rtal
     formula: str = "mean"     # mean | concat_ffn | ewp_ffn
     position: str = "both"    # encoder | decoder | both
 
@@ -98,13 +99,12 @@ class ModelConfig:
         if self.ln_eps <= 0:
             raise ConfigError(f"ln_eps must be positive, got {self.ln_eps}")
         self.aggregation.validate()
-        if self.aggregation.structure in ("rtal", "cnn_tree"):
-            span = tree_span(self.num_layers)
-            if span < 2:
-                raise ConfigError(
-                    "tree aggregation requires a 2^n layer span with n >= 1; "
-                    f"num_layers={self.num_layers} leaves a span of {span}"
-                )
+        span = _span_size(self)
+        if self.aggregation.structure in aggregation.TREES and span < 2:
+            raise ConfigError(
+                "tree aggregation requires a 2^n layer span with n >= 1; "
+                f"num_layers={self.num_layers} leaves a span of {span}"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -130,26 +130,14 @@ def config_digest(config: ModelConfig) -> bytes:
     return hashlib.sha256(payload).digest()
 
 
-def tree_span(num_layers: int) -> int:
-    """Layers covered by a tree aggregator: the largest 2^n <= num_layers."""
-    return 1 << int(math.floor(math.log2(num_layers)))
+def _span_size(config: ModelConfig) -> int:
+    return aggregation.input_span(config.aggregation.structure, config.num_layers)
 
 
 def aggregated_span(config: ModelConfig) -> Optional[Tuple[int, int]]:
     """1-based inclusive (first, last) layer range fed to the aggregator."""
-    structure = config.aggregation.structure
-    if structure == "none":
-        return None
-    if structure in ("rtal", "cnn_tree"):
-        span = tree_span(config.num_layers)
-    else:
-        span = config.num_layers
-    return (config.num_layers - span + 1, config.num_layers)
-
-
-def _span_size(config: ModelConfig) -> int:
-    lo, hi = aggregated_span(config)
-    return hi - lo + 1
+    span = _span_size(config)
+    return (config.num_layers - span + 1, config.num_layers) if span else None
 
 
 class Seq2SeqModel:
@@ -182,18 +170,12 @@ class Seq2SeqModel:
         self.decoder_norm = LayerNorm(c.d_model, c.ln_eps, dtype)
 
         spec = c.aggregation
-        self.encoder_agg = None
-        self.decoder_agg = None
-        if spec.structure != "none":
-            span = _span_size(c)
-            if spec.active_on("encoder"):
-                self.encoder_agg = aggregation.build_aggregator(
-                    spec.structure, spec.formula, span, c.d_model, c.inner_dim,
-                    c.dropout, c.ln_eps, rng_agg, dtype)
-            if spec.active_on("decoder"):
-                self.decoder_agg = aggregation.build_aggregator(
-                    spec.structure, spec.formula, span, c.d_model, c.inner_dim,
-                    c.dropout, c.ln_eps, rng_agg, dtype)
+        span = _span_size(c)
+        self.encoder_agg, self.decoder_agg = (
+            aggregation.build_aggregator(spec.structure, spec.formula, span, c.d_model,
+                                         c.inner_dim, c.dropout, c.ln_eps, rng_agg, dtype)
+            if spec.active_on(side) else None
+            for side in ("encoder", "decoder"))
 
     # -- parameters ---------------------------------------------------------
 
@@ -340,10 +322,8 @@ def param_report(config: ModelConfig) -> dict:
     dec_layer = 2 * attn + ffn + 3 * ln
 
     spec = config.aggregation
-    span = _span_size(config) if spec.structure != "none" else 0
     per_stack_agg = aggregation.aggregator_param_count(
-        spec.structure, spec.formula, span, d, config.inner_dim
-    ) if spec.structure != "none" else 0
+        spec.structure, spec.formula, _span_size(config), d, config.inner_dim)
     enc_agg = per_stack_agg if spec.active_on("encoder") else 0
     dec_agg = per_stack_agg if spec.active_on("decoder") else 0
 

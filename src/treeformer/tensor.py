@@ -373,22 +373,27 @@ def grad_check(f, x, step: float = 1e-5, projection_seed: int = 0) -> float:
         loss = sum_all(mul_elementwise(y, Tensor(w)))
     tape.backward(loss)
     analytic = probe.grad if probe.grad is not None else np.zeros_like(x0)
+    return finite_difference_error(lambda: float((f(Tensor(x0)).data * w).sum()), x0, analytic, step)
 
-    def objective(arr: np.ndarray) -> float:
-        return float((f(Tensor(arr)).data * w).sum())
 
-    numeric = np.zeros_like(x0)
-    flat = x0.reshape(-1)
-    num_flat = numeric.reshape(-1)
+def finite_difference_error(objective, x: np.ndarray, analytic: np.ndarray, step: float) -> float:
+    """Max relative error of ``analytic`` against central differences of ``objective``.
+
+    ``objective()`` returns a float and must read ``x`` live: each coordinate
+    of ``x`` is perturbed in place by +-step and restored.  Returns
+    max_i |analytic_i - numeric_i| / max(|analytic_i|, |numeric_i|, 1e-8).
+    """
+    flat = x.reshape(-1)
+    numeric = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + step
-        hi = objective(x0)
+        hi = objective()
         flat[i] = orig - step
-        lo = objective(x0)
+        lo = objective()
         flat[i] = orig
-        num_flat[i] = (hi - lo) / (2.0 * step)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    rel = np.abs(analytic - numeric) / denom
+        numeric[i] = (hi - lo) / (2.0 * step)
+    a = analytic.reshape(-1)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
+    rel = np.abs(a - numeric) / denom
     return float(rel.max()) if rel.size else 0.0

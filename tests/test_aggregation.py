@@ -14,7 +14,6 @@ from treeformer.aggregation import (
     build_aggregator,
     formula_param_count,
     make_formula,
-    rtal_aggregate,
 )
 from treeformer.tensor import ShapeError, Tape, Tensor, sum_all
 
@@ -131,7 +130,7 @@ class TestTree:
         tree = TreeAggregator(leaves, kind, 4, 4, 0.0, 1e-6, rng, dtype=np.float64)
         for _ in range(5):
             values = [rng.standard_normal((2, 4)) for _ in range(leaves)]
-            out = rtal_aggregate(tree, [Tensor(v) for v in values]).data
+            out = tree.apply([Tensor(v) for v in values]).data
             np.testing.assert_allclose(out, ref_tree_eval(tree, values), rtol=1e-8, atol=1e-10)
 
     @pytest.mark.parametrize("kind", ["mean", "concat_ffn", "ewp_ffn"])
@@ -183,6 +182,19 @@ class TestBaselines:
         agg = IterativeCombination(3, "mean", 2, 2, 0.0, 1e-6, np.random.default_rng(2))
         h = [Tensor(np.array([4.0, 0.0])), Tensor(np.array([0.0, 4.0])), Tensor(np.array([2.0, 2.0]))]
         np.testing.assert_allclose(agg.apply(h).data, [2.0, 2.0], rtol=1e-6)
+
+    @pytest.mark.parametrize("inputs", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["mean", "concat_ffn", "ewp_ffn"])
+    def test_iterative_matches_numpy_left_fold(self, inputs, kind):
+        rng = np.random.default_rng(inputs * 17 + len(kind))
+        agg = IterativeCombination(inputs, kind, 4, 4, 0.0, 1e-6, rng, dtype=np.float64)
+        values = [rng.standard_normal((2, 4)) for _ in range(inputs)]
+        assert len(agg.nodes) == inputs - 1
+        expected = values[0]
+        for h, node in zip(values[1:], agg.nodes):
+            expected = np_formula(node.formula, h, expected)
+        out = agg.apply([Tensor(v) for v in values]).data
+        np.testing.assert_allclose(out, expected, rtol=1e-8, atol=1e-10)
 
     def test_cnn_tree_zero_leaves(self):
         agg = build_aggregator("cnn_tree", "mean", 4, 3, 3, 0.0, 1e-6, np.random.default_rng(3))

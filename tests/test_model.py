@@ -106,6 +106,18 @@ class TestBuild:
         assert len(model.decoder_agg.nodes) == 3
         assert model.encoder_agg.num_inputs == 4
 
+    @pytest.mark.parametrize("structure,group,nodes", [
+        ("rtal", "nodes", 3), ("cnn_tree", "nodes", 3), ("iterative", "steps", 5)])
+    def test_aggregator_parameter_names(self, structure, group, nodes):
+        # checkpoints key aggregator parameters by these names
+        model = build(tiny_config(num_layers=6, aggregation=AggregationSpec(structure, "ewp_ffn", "both")))
+        names = set(dict(model.named_parameters()))
+        for stack in ("encoder", "decoder"):
+            for i in range(nodes):
+                assert f"{stack}.agg.{group}.{i}.beta" in names
+                assert f"{stack}.agg.{group}.{i}.lin1.weight" in names
+            assert f"{stack}.agg.{group}.{nodes}.beta" not in names
+
     def test_position_controls_which_stacks(self):
         enc_only = build(tiny_config(aggregation=AggregationSpec("rtal", "mean", "encoder")))
         assert enc_only.encoder_agg is not None and enc_only.decoder_agg is None

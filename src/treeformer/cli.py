@@ -356,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beam", type=int, default=4)
     p.add_argument("--alpha", type=float, default=0.6)
     p.add_argument("--last-k", type=int, default=5,
-                   help="average up to this many trailing checkpoints")
+                   help="average up to this many trailing checkpoints; the step-0 "
+                        "initialisation only when it is the only one")
     p.add_argument("--max-len", type=int)
     p.set_defaults(fn=cmd_decode)
 

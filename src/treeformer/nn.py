@@ -13,6 +13,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from .tensor import (
+    MaskError,
     ShapeError,
     Tensor,
     add,
@@ -22,11 +23,6 @@ from .tensor import (
     mul_elementwise,
     record_op,
     relu,
-    reshape,
-    scale,
-    softmax_last_dim,
-    swap_axes,
-    transpose_last_two,
 )
 
 NamedParams = Iterator[Tuple[str, Tensor]]
@@ -90,16 +86,58 @@ def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tenso
         return x
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
-    return mul_elementwise(x, Tensor(keep / (1.0 - rate)))
+    keep = (rng.random(x.data.shape, dtype=np.float32) >= rate).astype(x.data.dtype)
+    return mul_elementwise(x, Tensor(keep * (1.0 / (1.0 - rate))))
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
-    """softmax(q k^T / sqrt(d_key)) v with optional visibility mask."""
-    d_key = q.data.shape[-1]
-    scores = scale(matmul(q, transpose_last_two(k)), 1.0 / math.sqrt(d_key))
-    weights = softmax_last_dim(scores, mask)
-    return matmul(weights, v)
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None, num_heads: int = 1) -> Tensor:
+    """Multi-head softmax(q k^T / sqrt(d_head)) v as one taped op.
+
+    q is (..., Tq, d) and k, v are (..., Tk, d) with the same leading axes;
+    the last axis is split into ``num_heads`` heads of d / num_heads, each
+    head attends on its own, and the heads are merged back to (..., Tq, d).
+    ``mask`` is a boolean array broadcastable to (..., num_heads, Tq, Tk);
+    True marks a visible key.  A query row with no visible key raises
+    MaskError.  The backward rule is the closed form
+    dS = P * (dP - rowsum(dP * P)) (FlashAttention, Dao et al. 2022).
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    if qd.ndim < 2 or kd.shape != vd.shape or \
+            (kd.shape[:-2], kd.shape[-1]) != (qd.shape[:-2], qd.shape[-1]):
+        raise ShapeError(f"attention operands disagree: q {q.shape}, k {k.shape}, v {v.shape}")
+    d = qd.shape[-1]
+    if num_heads < 1 or d % num_heads != 0:
+        raise ShapeError(f"model dim {d} is not divisible into {num_heads} heads")
+    head_dim = d // num_heads
+
+    def split(x):  # (..., T, d) -> (..., heads, T, head_dim)
+        return x.reshape(x.shape[:-1] + (num_heads, head_dim)).swapaxes(-2, -3)
+
+    def merge(x):  # (..., heads, T, head_dim) -> (..., T, d)
+        x = x.swapaxes(-2, -3)
+        return x.reshape(x.shape[:-2] + (d,))
+
+    qh, kh, vh = split(qd), split(kd), split(vd)
+    # a Python float: a numpy float64 scalar would promote float32 scores
+    factor = 1.0 / math.sqrt(head_dim)
+    s = (qh @ kh.swapaxes(-1, -2)) * factor
+    if mask is not None:
+        m = np.asarray(mask, dtype=bool)
+        visible = np.broadcast_to(m, s.shape)
+        if not m.any(axis=-1).all():
+            raise MaskError("softmax row is fully masked")
+        s = np.where(visible, s, -np.inf)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def rule(g):
+        gh = split(g)
+        dp = gh @ vh.swapaxes(-1, -2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+        ds *= factor
+        return merge(ds @ kh), merge(ds.swapaxes(-1, -2) @ qh), merge(p.swapaxes(-1, -2) @ gh)
+
+    return record_op(merge(p @ vh), (q, k, v), rule)
 
 
 class MultiHeadAttention:
@@ -109,7 +147,6 @@ class MultiHeadAttention:
         if d_model % num_heads != 0:
             raise ValueError(f"d_model {d_model} is not divisible by num_heads {num_heads}")
         self.num_heads = num_heads
-        self.head_dim = d_model // num_heads
         self.q_proj = Linear(d_model, d_model, rng, dtype)
         # a key bias shifts every score in a row equally and softmax cancels
         # it, so the parameter could never train; leave it out
@@ -117,21 +154,10 @@ class MultiHeadAttention:
         self.v_proj = Linear(d_model, d_model, rng, dtype)
         self.out_proj = Linear(d_model, d_model, rng, dtype)
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        b, t, d = x.data.shape
-        x = reshape(x, (b, t, self.num_heads, self.head_dim))
-        return swap_axes(x, 1, 2)  # (b, heads, t, head_dim)
-
-    def _merge_heads(self, x: Tensor) -> Tensor:
-        b, h, t, hd = x.data.shape
-        return reshape(swap_axes(x, 1, 2), (b, t, h * hd))
-
     def __call__(self, q_in: Tensor, k_in: Tensor, v_in: Tensor, mask=None) -> Tensor:
-        q = self._split_heads(self.q_proj(q_in))
-        k = self._split_heads(self.k_proj(k_in))
-        v = self._split_heads(self.v_proj(v_in))
-        attended = scaled_dot_attention(q, k, v, mask)
-        return self.out_proj(self._merge_heads(attended))
+        attended = scaled_dot_attention(self.q_proj(q_in), self.k_proj(k_in), self.v_proj(v_in),
+                                        mask, self.num_heads)
+        return self.out_proj(attended)
 
     def named_parameters(self, prefix: str) -> NamedParams:
         yield from self.q_proj.named_parameters(f"{prefix}.q_proj")

@@ -180,18 +180,31 @@ def _sum_to_shape(shape: tuple, g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes, batched over leading axes."""
+    """Matrix product over the last two axes, batched over leading axes.
+
+    A 2-D right operand (a weight matrix) is applied to the leading axes of
+    ``a`` flattened into rows, so both directions are one 2-D GEMM each and
+    the weight gradient needs no reduction over batch axes.
+    """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} x {b.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    out = ad @ bd
+    if bd.ndim == 2:
+        rows = ad.reshape(-1, ad.shape[-1])
+        out = (rows @ bd).reshape(ad.shape[:-1] + bd.shape[-1:])
 
-    def rule(g):
-        ga = _sum_to_shape(ad.shape, g @ bd.swapaxes(-1, -2))
-        gb = _sum_to_shape(bd.shape, ad.swapaxes(-1, -2) @ g)
-        return ga, gb
+        def rule(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return (g2 @ bd.T).reshape(ad.shape), rows.T @ g2
+    else:
+        out = ad @ bd
+
+        def rule(g):
+            ga = _sum_to_shape(ad.shape, g @ bd.swapaxes(-1, -2))
+            gb = _sum_to_shape(bd.shape, ad.swapaxes(-1, -2) @ g)
+            return ga, gb
 
     return record_op(out, (a, b), rule)
 
@@ -249,16 +262,19 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise ShapeError("embedding ids must be integers")
+    if table.data.ndim != 2:
+        raise ShapeError(f"embedding table must be 2-D, got shape {table.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(
             f"token id out of range [0, {table.data.shape[0]}) in embedding lookup"
         )
-    shape = table.data.shape
+    vocab, dim = table.data.shape
 
     def rule(g):
-        gt = np.zeros(shape, dtype=g.dtype)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, shape[-1]))
-        return (gt,)
+        # one GEMM: one-hot rows (ids x vocab) transposed times the gradient rows
+        flat = ids.reshape(-1)
+        one_hot = (flat[:, None] == np.arange(vocab)).astype(g.dtype)
+        return (one_hot.T @ g.reshape(-1, dim),)
 
     return record_op(table.data[ids], (table,), rule)
 

@@ -55,18 +55,21 @@ def adam_init(params: Dict[str, Tensor], beta1=0.9, beta2=0.98, eps=1e-9) -> Ada
 
 
 def adam_step(state: AdamState, params: Dict[str, Tensor], lr: float) -> None:
-    """One bias-corrected Adam update in place; missing grads count as zero."""
+    """One bias-corrected Adam update in place; missing grads count as zero.
+
+    All or nothing: every gradient is checked before any state changes, so a
+    non-finite gradient raises with the parameters, moments and step intact.
+    """
+    for name, p in params.items():
+        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+            raise NumericalError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
     for name, p in params.items():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        elif not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for parameter {name!r}")
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
         m *= b1
@@ -256,12 +259,16 @@ def evaluate_model(model: Seq2SeqModel, task: SyntheticTask, n_examples: int = 3
 def averaged_model_checkpoint(run_dir, k: int, strict: bool = True) -> Checkpoint:
     """Average the last ``k`` checkpoints of a run directory.
 
-    With ``strict=False`` and fewer than k checkpoints available, averages
-    what is there instead of failing.
+    With ``strict=False``, the step-0 checkpoint (the random initialisation)
+    is left out unless it is the only one, and fewer than k checkpoints are
+    averaged instead of failing.
     """
-    paths = list_checkpoints(Path(run_dir) / "checkpoints")
+    ckpt_dir = Path(run_dir) / "checkpoints"
+    paths = list_checkpoints(ckpt_dir)
     if not paths:
         raise FileNotFoundError(f"no checkpoints in {run_dir}")
+    if not strict and len(paths) > 1 and paths[0] == str(_checkpoint_path(ckpt_dir, 0)):
+        paths = paths[1:]
     if len(paths) < k:
         if strict:
             raise ValueError(f"requested last {k} checkpoints but only {len(paths)} exist")

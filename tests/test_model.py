@@ -18,7 +18,9 @@ from treeformer.model import (
     param_report,
     tree_span,
 )
+from treeformer.nn import label_smoothed_ce
 from treeformer.tasks import make_batch
+from treeformer.tensor import Tape
 
 from oracles import np_log_softmax, np_vanilla_forward
 
@@ -147,6 +149,23 @@ class TestForward:
         ours = model.forward_train(BATCH).data
         ref = np_vanilla_forward(model, BATCH)
         np.testing.assert_allclose(ours, ref, rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize("structure, formula", [("none", "mean"), ("rtal", "ewp_ffn"),
+                                                    ("linear", "mean"), ("iterative", "concat_ffn")])
+    def test_float32_model_stays_float32(self, structure, formula):
+        # a numpy float64 scalar anywhere in a kernel promotes float32 arrays
+        # to float64 under NumPy 2 promotion rules, silently slowing training
+        model = build(tiny_config(dropout=0.1, aggregation=AggregationSpec(structure, formula, "both")))
+        with Tape() as tape:
+            logits = model.forward_train(BATCH, rng=np.random.default_rng(0))
+            loss = label_smoothed_ce(logits, BATCH.tgt_out, 0.1, BATCH.pad_id)
+        tape.backward(loss)
+        assert logits.dtype == np.float32
+        assert loss.dtype == np.float32
+        for name, p in model.named_parameters():
+            assert p.grad is not None and p.grad.dtype == np.float32, name
+        cache = encode_source(model, BATCH.src[:1], BATCH.pad_id)
+        assert forward_step(model, cache, BATCH.tgt_in[:1, :3]).dtype == np.float32
 
     def test_sequence_longer_than_max_len_rejected(self):
         model = build(tiny_config(max_len=4))

@@ -17,7 +17,7 @@ from treeformer.nn import (
     scaled_dot_attention,
     sinusoidal_positions,
 )
-from treeformer.tensor import Tape, Tensor, mul_elementwise, sum_all
+from treeformer.tensor import MaskError, ShapeError, Tape, Tensor, grad_check, mul_elementwise, sum_all
 
 from oracles import scalar_attention
 
@@ -60,6 +60,63 @@ class TestScaledDotAttention:
             out = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), mask).data
             assert (out <= v.max(axis=-2, keepdims=True) + 1e-6).all()
             assert (out >= v.min(axis=-2, keepdims=True) - 1e-6).all()
+
+
+def _pad_mask(batch, tk):
+    visible = np.ones((batch, 1, 1, tk), dtype=bool)
+    visible[0, ..., tk - 2:] = False   # first row pads its last two keys
+    return visible
+
+
+def _causal_pad_mask(batch, t):
+    return np.tril(np.ones((t, t), dtype=bool))[None, None] & _pad_mask(batch, t)
+
+
+class TestFusedMultiHeadAttention:
+    """scaled_dot_attention with num_heads > 1: heads split and merged inside one op."""
+
+    @pytest.mark.parametrize("operand", [0, 1, 2])
+    @pytest.mark.parametrize("case", ["cross_pad", "self_causal"])
+    def test_grad_check_each_operand(self, case, operand):
+        rng = np.random.default_rng(20 + operand)
+        batch, tq, d = 2, 3, 6
+        tk, mask = (5, _pad_mask(batch, 5)) if case == "cross_pad" else (tq, _causal_pad_mask(batch, tq))
+        operands = [rng.standard_normal((batch, tq, d)), rng.standard_normal((batch, tk, d)),
+                    rng.standard_normal((batch, tk, d))]
+
+        def f(t):
+            args = [Tensor(x) for x in operands]
+            args[operand] = t
+            return scaled_dot_attention(*args, mask=mask, num_heads=2)
+
+        assert grad_check(f, Tensor(operands[operand])) <= 1e-5
+
+    def test_heads_against_scalar_oracle_with_pad_mask(self):
+        rng = np.random.default_rng(23)
+        batch, tq, tk, heads, dh = 2, 3, 5, 2, 3
+        q = rng.standard_normal((batch, tq, heads * dh))
+        k = rng.standard_normal((batch, tk, heads * dh))
+        v = rng.standard_normal((batch, tk, heads * dh))
+        mask = _pad_mask(batch, tk)
+        out = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), mask, num_heads=heads).data
+        for b in range(batch):
+            keys = mask[b, 0, 0]
+            for h in range(heads):
+                sl = slice(h * dh, (h + 1) * dh)
+                expected = scalar_attention(q[b, :, sl], k[b, keys, sl], v[b, keys, sl])
+                np.testing.assert_allclose(out[b, :, sl], expected, rtol=1e-10, atol=1e-12)
+
+    def test_fully_masked_row_raises(self):
+        x = Tensor(np.ones((2, 3, 4)))
+        mask = np.ones((2, 1, 1, 3), dtype=bool)
+        mask[1] = False
+        with pytest.raises(MaskError):
+            scaled_dot_attention(x, x, x, mask, num_heads=2)
+
+    def test_heads_must_divide_model_dim(self):
+        x = Tensor(np.ones((1, 3, 4)))
+        with pytest.raises(ShapeError):
+            scaled_dot_attention(x, x, x, num_heads=3)
 
 
 class TestMultiHeadAttention:

@@ -271,6 +271,20 @@ class TestGradCheck:
         for f, point in cases:
             assert grad_check(f, Tensor(point)) <= 1e-5
 
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("rows_shape", [(2, 3, 4), (2, 2, 3, 4)])
+    def test_matmul_2d_weight_path(self, rows_shape, seed):
+        # matmul is linear in each operand, so central differences have no
+        # truncation error; a wide step keeps rounding noise off small
+        # gradient coordinates
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal(rows_shape)
+        weight = rng.standard_normal((4, 5))
+        np.testing.assert_allclose(matmul(Tensor(rows), Tensor(weight)).data,
+                                   np.einsum("...k,kn->...n", rows, weight), rtol=1e-12)
+        assert grad_check(lambda t: matmul(t, Tensor(weight)), Tensor(rows), step=1e-2) <= 1e-8
+        assert grad_check(lambda t: matmul(Tensor(rows), t), Tensor(weight), step=1e-2) <= 1e-8
+
     def test_embedding_table_gradient(self):
         ids = np.array([[0, 2], [2, 1]])
         err = grad_check(lambda t: embedding_lookup(t, ids), Tensor(np.random.default_rng(5).standard_normal((3, 4))))

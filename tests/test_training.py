@@ -14,6 +14,7 @@ from treeformer.training import (
     TrainingSpec,
     adam_init,
     adam_step,
+    averaged_model_checkpoint,
     lr_schedule,
     train,
 )
@@ -54,6 +55,28 @@ class TestAdam:
         params = {"embedding.weight": p}
         with pytest.raises(NumericalError, match="embedding.weight"):
             adam_step(params=params, state=adam_init(params), lr=0.1)
+
+    def test_nan_in_last_parameter_changes_no_state(self):
+        rng = np.random.default_rng(4)
+        params = {name: Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
+                  for name in ("a", "b", "c")}
+        state = adam_init(params)
+        for p in params.values():
+            p.grad = rng.standard_normal(3).astype(np.float32)
+        adam_step(state, params, lr=0.1)   # non-zero moments to compare against
+        params["c"].grad = np.array([0.0, np.nan, 0.0], dtype=np.float32)
+
+        def snapshot():
+            return {n: (p.data.copy(), state.m[n].copy(), state.v[n].copy()) for n, p in params.items()}
+
+        before = snapshot()
+        with pytest.raises(NumericalError, match="'c'"):
+            adam_step(state, params, lr=0.1)
+        assert state.step == 1
+        after = snapshot()
+        for name in params:
+            for saved, live in zip(before[name], after[name]):
+                np.testing.assert_array_equal(live, saved)
 
     def test_identical_runs_bit_identical(self):
         def run():
@@ -206,6 +229,26 @@ class TestTrainLoop:
         r1 = train(build(config), task, spec, tmp_path / "a", seed=7)
         r2 = train(build(config), task, spec, tmp_path / "b", seed=8)
         assert strip_wall(read_metrics(r1.metrics_path)) != strip_wall(read_metrics(r2.metrics_path))
+
+    def test_loose_average_leaves_out_random_init(self, tmp_path):
+        config, task = _toy_setup()
+        train(build(config), task, TrainingSpec(steps=2, batch_tokens=64, checkpoint_every=1),
+              tmp_path, seed=0)
+        averaged = averaged_model_checkpoint(tmp_path, 5, strict=False)
+        expected = average_checkpoints(
+            [load_checkpoint(tmp_path / "checkpoints" / f"step_{s:06d}.ckpt") for s in (1, 2)])
+        for name in expected.params:
+            np.testing.assert_array_equal(averaged.params[name], expected.params[name])
+        assert averaged.step == 2
+
+    def test_loose_average_of_init_only_run(self, tmp_path):
+        config, task = _toy_setup()
+        train(build(config), task, TrainingSpec(steps=0), tmp_path, seed=0)
+        averaged = averaged_model_checkpoint(tmp_path, 5, strict=False)
+        init = load_checkpoint(tmp_path / "checkpoints" / "step_000000.ckpt")
+        assert averaged.step == 0
+        for name in init.params:
+            np.testing.assert_array_equal(averaged.params[name], init.params[name])
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         config, task = _toy_setup(structure="rtal", formula="ewp_ffn")

@@ -30,6 +30,7 @@ from .model import (
     forward_train,
     param_report,
 )
+from .checkpoint import CheckpointError
 from .tasks import Batch, SyntheticTask, generate_task
 from .training import AdamState, TrainingSpec, adam_init, adam_step, average_checkpoints, lr_schedule, train
 from .decoding import BeamResult, Hypothesis, beam_search
@@ -40,6 +41,7 @@ __all__ = [
     "AggregationSpec",
     "Batch",
     "BeamResult",
+    "CheckpointError",
     "ConfigError",
     "Hypothesis",
     "MaskError",

@@ -6,7 +6,8 @@ Layout (all integers little-endian):
           float32 payload
 
 Float payloads round-trip bit-exactly.  Writes go through a temp file and
-an atomic rename.
+an atomic rename.  A file that ends early or has another format version
+raises ``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ import numpy as np
 
 FORMAT_VERSION = 1
 _DIGEST_BYTES = 32
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file is truncated or unreadable; the message names the file."""
 
 
 @dataclass
@@ -51,20 +56,27 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(os.fspath(path), "rb") as fh:
-        version = struct.unpack("<I", fh.read(4))[0]
+    path = os.fspath(path)
+    with open(path, "rb") as fh:
+        def read(n: int) -> bytes:
+            raw = fh.read(n)
+            if len(raw) != n:
+                raise CheckpointError(f"checkpoint {path} is truncated (ends at byte {fh.tell()})")
+            return raw
+
+        version = struct.unpack("<I", read(4))[0]
         if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format version {version}")
-        digest = fh.read(_DIGEST_BYTES)
-        step, count = struct.unpack("<QI", fh.read(12))
+            raise CheckpointError(f"checkpoint {path} has unsupported format version {version}")
+        digest = read(_DIGEST_BYTES)
+        step, count = struct.unpack("<QI", read(12))
         params: Dict[str, np.ndarray] = {}
         for _ in range(count):
-            name_len = struct.unpack("<I", fh.read(4))[0]
-            name = fh.read(name_len).decode("utf-8")
-            rank = struct.unpack("<I", fh.read(4))[0]
-            shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank)) if rank else ()
+            name_len = struct.unpack("<I", read(4))[0]
+            name = read(name_len).decode("utf-8")
+            rank = struct.unpack("<I", read(4))[0]
+            shape = struct.unpack(f"<{rank}Q", read(8 * rank)) if rank else ()
             size = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(4 * size), dtype="<f4").reshape(shape)
+            data = np.frombuffer(read(4 * size), dtype="<f4").reshape(shape)
             params[name] = data.astype(np.float32)
     return Checkpoint(params=params, step=step, config_digest=digest)
 

@@ -28,6 +28,7 @@ from .model import (
     ModelConfig,
     aggregated_span,
     build,
+    config_digest,
     param_report,
 )
 from .tasks import EOS, SyntheticTask
@@ -200,7 +201,8 @@ def cmd_decode(args) -> int:
     run_dir = Path(args.run_dir)
     config = load_experiment(run_dir / "config.json")
     model = build(config.model)
-    ckpt = averaged_model_checkpoint(run_dir, args.last_k, strict=False)
+    ckpt = averaged_model_checkpoint(run_dir, args.last_k, strict=False,
+                                     digest=config_digest(config.model))
     model.load_state(ckpt.params)
     max_len = args.max_len or min(config.model.max_len, config.task.max_len + 2)
 

@@ -244,9 +244,10 @@ class Seq2SeqModel:
         top = self._aggregate(self.encoder_agg, outputs, rng)
         return self.encoder_norm(top), visible
 
-    def decode(self, tgt_in: np.ndarray, memory: Tensor, src_visible: np.ndarray,
-               pad_id: int, rng=None) -> Tensor:
-        """Run the decoder with causal+pad masking; returns logits."""
+    def decode(self, tgt_in: np.ndarray, memory: Optional[Tensor], src_visible: np.ndarray,
+               pad_id: int, rng=None, cross_kv=None) -> Tensor:
+        """Run the decoder with causal+pad masking; returns logits.  ``cross_kv``, one (keys,
+        values) pair per layer as ``encode_source`` caches them, replaces projecting ``memory``."""
         tgt_in = np.asarray(tgt_in)
         t = tgt_in.shape[-1]
         causal = np.tril(np.ones((t, t), dtype=bool))
@@ -254,8 +255,8 @@ class Seq2SeqModel:
         cross_mask = src_visible[:, None, None, :]
         y = self._embed(tgt_in, rng)
         outputs = []
-        for layer in self.decoder_layers:
-            y = layer(y, memory, self_mask, cross_mask, rng)
+        for layer, kv in zip(self.decoder_layers, cross_kv or [None] * len(self.decoder_layers)):
+            y = layer(y, memory, self_mask, cross_mask, rng, kv)
             outputs.append(y)
         top = self._aggregate(self.decoder_agg, outputs, rng)
         y = self.decoder_norm(top)
@@ -277,31 +278,36 @@ def forward_train(model: Seq2SeqModel, batch, rng=None) -> Tensor:
 
 @dataclass
 class EncodedSource:
-    """Encoder output cached once per source sequence for stepwise decoding."""
-    memory: np.ndarray        # (1, S, d_model)
+    """What stepwise decoding needs of one source, computed once per sentence."""
     src_visible: np.ndarray   # (1, S)
     pad_id: int
+    cross_kv: list            # per decoder layer: (K, V), each (1, S, d_model)
 
 
 def encode_source(model: Seq2SeqModel, src, pad_id: int) -> EncodedSource:
+    """Encode one source and project it through every layer's cross-attention keys and values."""
     src = np.atleast_2d(np.asarray(src))
     memory, visible = model.encode(src, pad_id)
-    return EncodedSource(memory.data, visible, pad_id)
+    cross_kv = [tuple(t.data for t in layer.cross_attn.project_kv(memory, memory))
+                for layer in model.decoder_layers]
+    return EncodedSource(visible, pad_id, cross_kv)
 
 
 def forward_step(model: Seq2SeqModel, source_cache: EncodedSource, prefix_tokens) -> np.ndarray:
     """Next-token log-probabilities for each prefix row.
 
-    Re-runs the decoder over the whole prefix each call; with causal masking
-    the last-position logits equal the matching teacher-forced slice.
+    Re-runs the decoder over the whole prefix each call, on the cached
+    cross-attention keys and values; with causal masking the last-position
+    logits equal the matching teacher-forced slice.
     """
     prefixes = np.atleast_2d(np.asarray(prefix_tokens))
     if prefixes.shape[-1] < 1:
         raise ValueError("prefix must contain the start symbol")
     n = prefixes.shape[0]
-    memory = Tensor(np.broadcast_to(source_cache.memory, (n,) + source_cache.memory.shape[1:]))
+    cross_kv = [tuple(Tensor(np.broadcast_to(a, (n,) + a.shape[1:])) for a in kv)
+                for kv in source_cache.cross_kv]
     visible = np.broadcast_to(source_cache.src_visible, (n, source_cache.src_visible.shape[1]))
-    logits = model.decode(prefixes, memory, visible, source_cache.pad_id).data[:, -1, :]
+    logits = model.decode(prefixes, None, visible, source_cache.pad_id, cross_kv=cross_kv).data[:, -1, :]
     zmax = logits.max(axis=-1, keepdims=True)
     logp = logits - zmax - np.log(np.exp(logits - zmax).sum(axis=-1, keepdims=True))
     if np.asarray(prefix_tokens).ndim == 1:

@@ -42,8 +42,7 @@ class Linear:
         self.bias = Tensor(np.zeros(out_dim, dtype=dtype), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = matmul(x, self.weight)
-        return add(y, self.bias) if self.bias is not None else y
+        return matmul(x, self.weight, self.bias)
 
     def named_parameters(self, prefix: str) -> NamedParams:
         yield f"{prefix}.weight", self.weight
@@ -154,10 +153,15 @@ class MultiHeadAttention:
         self.v_proj = Linear(d_model, d_model, rng, dtype)
         self.out_proj = Linear(d_model, d_model, rng, dtype)
 
-    def __call__(self, q_in: Tensor, k_in: Tensor, v_in: Tensor, mask=None) -> Tensor:
-        attended = scaled_dot_attention(self.q_proj(q_in), self.k_proj(k_in), self.v_proj(v_in),
-                                        mask, self.num_heads)
-        return self.out_proj(attended)
+    def project_kv(self, k_in: Tensor, v_in: Tensor) -> Tuple[Tensor, Tensor]:
+        """Keys and values; cross-attention computes them once per source."""
+        return self.k_proj(k_in), self.v_proj(v_in)
+
+    def __call__(self, q_in: Tensor, k_in: Tensor, v_in: Tensor, mask=None, kv=None) -> Tensor:
+        """``kv``: keys and values from ``project_kv``, used instead of k_in and v_in."""
+        q = self.q_proj(q_in)
+        k, v = self.project_kv(k_in, v_in) if kv is None else kv
+        return self.out_proj(scaled_dot_attention(q, k, v, mask, self.num_heads))
 
     def named_parameters(self, prefix: str) -> NamedParams:
         yield from self.q_proj.named_parameters(f"{prefix}.q_proj")
@@ -222,11 +226,11 @@ class DecoderLayer:
         self.ffn = FeedForward(d_model, d_ff, rng, dtype)
         self.dropout_rate = dropout_rate
 
-    def __call__(self, x, memory, self_mask, cross_mask, rng=None) -> Tensor:
+    def __call__(self, x, memory, self_mask, cross_mask, rng=None, cross_kv=None) -> Tensor:
         h = self.ln1(x)
         x = add(x, dropout(self.self_attn(h, h, h, self_mask), self.dropout_rate, rng))
         h = self.ln2(x)
-        x = add(x, dropout(self.cross_attn(h, memory, memory, cross_mask), self.dropout_rate, rng))
+        x = add(x, dropout(self.cross_attn(h, memory, memory, cross_mask, cross_kv), self.dropout_rate, rng))
         x = add(x, dropout(self.ffn(self.ln3(x)), self.dropout_rate, rng))
         return x
 

@@ -48,7 +48,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":  # the cheap form of np.issubdtype(..., np.floating)
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -179,25 +179,33 @@ def _sum_to_shape(shape: tuple, g: np.ndarray) -> np.ndarray:
 # Primitive kernels
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Matrix product over the last two axes, batched over leading axes.
 
     A 2-D right operand (a weight matrix) is applied to the leading axes of
     ``a`` flattened into rows, so both directions are one 2-D GEMM each and
-    the weight gradient needs no reduction over batch axes.
+    the weight gradient needs no reduction over batch axes.  With a 2-D
+    right operand, ``bias`` (shape ``(n,)``) is added in the same taped op,
+    as ``add`` would, so an affine layer is one tape record.
     """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} x {b.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
+    if bias is not None and (bd.ndim != 2 or bias.data.shape != bd.shape[-1:]):
+        raise ShapeError(f"matmul bias {bias.shape} does not fit right operand {b.shape}")
     if bd.ndim == 2:
         rows = ad.reshape(-1, ad.shape[-1])
-        out = (rows @ bd).reshape(ad.shape[:-1] + bd.shape[-1:])
+        out = rows @ bd
+        if bias is not None:
+            out += bias.data
+        out = out.reshape(ad.shape[:-1] + bd.shape[-1:])
 
         def rule(g):
             g2 = g.reshape(-1, g.shape[-1])
-            return (g2 @ bd.T).reshape(ad.shape), rows.T @ g2
+            ga, gb = (g2 @ bd.T).reshape(ad.shape), rows.T @ g2
+            return (ga, gb) if bias is None else (ga, gb, _sum_to_suffix(bd.shape[-1:], g))
     else:
         out = ad @ bd
 
@@ -206,7 +214,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = _sum_to_shape(bd.shape, ad.swapaxes(-1, -2) @ g)
             return ga, gb
 
-    return record_op(out, (a, b), rule)
+    return record_op(out, (a, b) if bias is None else (a, b, bias), rule)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -346,10 +354,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta_shift: Tensor, eps: float = 1e-6) 
         )
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # centre once; the same sums and divisions as x.mean and x.var, so the same bits
+    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     out = xhat * gamma.data + beta_shift.data
     gdata = gamma.data
 

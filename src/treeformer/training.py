@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .checkpoint import Checkpoint, average_checkpoints, list_checkpoints, load_checkpoint, save_checkpoint
-from .model import Seq2SeqModel, config_digest
+from .model import ConfigError, Seq2SeqModel, config_digest
 from .nn import label_smoothed_ce
 from .tasks import EOS, SyntheticTask, generate_task, make_batch, sample_batch
 from .tensor import NumericalError, Tape, Tensor
@@ -140,6 +140,14 @@ def _optim_path(ckpt_dir: Path, step: int) -> Path:
     return ckpt_dir / f"step_{step:06d}.optim"
 
 
+def _load_matching(path, digest: Optional[bytes]) -> Checkpoint:
+    """Load a checkpoint, refusing one written under another model configuration."""
+    ckpt = load_checkpoint(path)
+    if digest is not None and ckpt.config_digest != digest:
+        raise ConfigError(f"checkpoint {path} was produced by a different configuration")
+    return ckpt
+
+
 def _save_state(ckpt_dir: Path, model: Seq2SeqModel, state: AdamState, step: int, digest: bytes) -> Path:
     path = _checkpoint_path(ckpt_dir, step)
     save_checkpoint(path, Checkpoint(params=model.state_dict(), step=step, config_digest=digest))
@@ -173,26 +181,27 @@ def train(model: Seq2SeqModel, task: SyntheticTask, spec: TrainingSpec, out_dir,
         existing = list_checkpoints(ckpt_dir)
         if not existing:
             raise FileNotFoundError(f"no checkpoints to resume from in {ckpt_dir}")
-        ckpt = load_checkpoint(existing[-1])
-        if ckpt.config_digest != digest:
-            raise NumericalError("checkpoint was produced by a different configuration")
+        ckpt = _load_matching(existing[-1], digest)
         model.load_state(ckpt.params)
-        optim = load_checkpoint(_optim_path(ckpt_dir, ckpt.step))
+        optim = _load_matching(_optim_path(ckpt_dir, ckpt.step), digest)
         state = adam_init(params)
         state.step = ckpt.step
         for name in params:
             state.m[name] = optim.params[f"m.{name}"].astype(model.dtype)
             state.v[name] = optim.params[f"v.{name}"].astype(model.dtype)
         start_step = ckpt.step
-        log_mode = "a"
+        # steps after the checkpoint are replayed: drop their lines and any torn last line
+        lines = metrics_path.read_text().splitlines(keepends=True) if metrics_path.exists() else []
+        kept = [ln for ln in lines if ln.endswith("\n") and json.loads(ln)["step"] <= start_step]
     else:
         state = adam_init(params)
         _save_state(ckpt_dir, model, state, 0, digest)
-        log_mode = "w"
+        kept = []
 
     eps_ls = spec.label_smoothing
     final_loss = None
-    with open(metrics_path, log_mode) as log:
+    with open(metrics_path, "w") as log:
+        log.writelines(kept)
         for step in range(start_step + 1, spec.steps + 1):
             t0 = time.perf_counter()
             batch = sample_batch(task, "train", spec.batch_tokens, _step_rng(seed, _DATA_STREAM, step))
@@ -256,12 +265,14 @@ def evaluate_model(model: Seq2SeqModel, task: SyntheticTask, n_examples: int = 3
     }
 
 
-def averaged_model_checkpoint(run_dir, k: int, strict: bool = True) -> Checkpoint:
+def averaged_model_checkpoint(run_dir, k: int, strict: bool = True,
+                              digest: Optional[bytes] = None) -> Checkpoint:
     """Average the last ``k`` checkpoints of a run directory.
 
     With ``strict=False``, the step-0 checkpoint (the random initialisation)
     is left out unless it is the only one, and fewer than k checkpoints are
-    averaged instead of failing.
+    averaged instead of failing.  With ``digest``, every averaged checkpoint
+    must carry that config digest, else ``ConfigError`` names it.
     """
     ckpt_dir = Path(run_dir) / "checkpoints"
     paths = list_checkpoints(ckpt_dir)
@@ -273,4 +284,4 @@ def averaged_model_checkpoint(run_dir, k: int, strict: bool = True) -> Checkpoin
         if strict:
             raise ValueError(f"requested last {k} checkpoints but only {len(paths)} exist")
         k = len(paths)
-    return average_checkpoints([load_checkpoint(p) for p in paths[-k:]])
+    return average_checkpoints([_load_matching(p, digest) for p in paths[-k:]])

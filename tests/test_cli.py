@@ -175,6 +175,26 @@ class TestDecodeAverage:
                      "--output", str(tmp_path / "c.out")]) == 0
         assert (tmp_path / "c.out").exists()
 
+    def test_decode_rejects_checkpoints_of_edited_config(self, run_dir, tmp_path, capsys):
+        config_path = run_dir / "config.json"
+        config = json.loads(config_path.read_text())
+        config["model"]["ln_eps"] = 1e-5   # same parameter shapes, different model
+        config_path.write_text(json.dumps(config))
+        inputs = tmp_path / "inputs.txt"
+        inputs.write_text("3 4 5\n")
+        assert main(["decode", str(run_dir), str(inputs), "--output", str(tmp_path / "d.out")]) == 1
+        err = capsys.readouterr().err
+        assert str(run_dir / "checkpoints" / "step_") in err and "different configuration" in err
+
+    def test_decode_truncated_checkpoint_exit_one_names_file(self, run_dir, tmp_path, capsys):
+        newest = run_dir / "checkpoints" / "step_000006.ckpt"
+        newest.write_bytes(newest.read_bytes()[:30])
+        inputs = tmp_path / "inputs.txt"
+        inputs.write_text("3 4 5\n")
+        assert main(["decode", str(run_dir), str(inputs), "--output", str(tmp_path / "e.out")]) == 1
+        err = capsys.readouterr().err
+        assert str(newest) in err and "truncated" in err
+
 
 class TestAblate:
     def test_empty_grid_exit_one(self, tmp_path, capsys):

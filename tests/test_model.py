@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from treeformer.aggregation import formula_param_count
-from treeformer.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from treeformer.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from treeformer.model import (
     AggregationSpec,
     ConfigError,
@@ -20,7 +20,7 @@ from treeformer.model import (
 )
 from treeformer.nn import label_smoothed_ce
 from treeformer.tasks import make_batch
-from treeformer.tensor import Tape
+from treeformer.tensor import Tape, Tensor
 
 from oracles import np_log_softmax, np_vanilla_forward
 
@@ -196,6 +196,26 @@ class TestForwardStep:
             step_logp = forward_step(model, cache, batch.tgt_in[:, :t])
             np.testing.assert_allclose(step_logp[0], train_logp[0, t - 1], rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("spec", [AggregationSpec("none", "mean", "both"),
+                                      AggregationSpec("rtal", "ewp_ffn", "both")])
+    def test_cached_cross_kv_equals_projecting_memory(self, spec, rows):
+        model = build(tiny_config(num_layers=4, aggregation=spec))
+        src = np.array([[3, 4, 2]])
+        cache = encode_source(model, src, 0)
+        assert len(cache.cross_kv) == 4
+        assert all(a.shape == (1, 3, 8) for kv in cache.cross_kv for a in kv)
+        memory, visible = model.encode(src, 0)
+        memory = Tensor(np.broadcast_to(memory.data, (rows, 3, 8)))
+        visible = np.broadcast_to(visible, (rows, 3))
+        prefixes = np.random.default_rng(rows).integers(3, 9, size=(rows, 5))
+        prefixes[:, 0] = 1
+        for t in range(1, 6):
+            logits = model.decode(prefixes[:, :t], memory, visible, 0).data[:, -1, :]
+            zmax = logits.max(axis=-1, keepdims=True)
+            expected = logits - zmax - np.log(np.exp(logits - zmax).sum(axis=-1, keepdims=True))
+            np.testing.assert_array_equal(forward_step(model, cache, prefixes[:, :t]), expected)
+
     def test_empty_prefix_rejected(self):
         model = build(tiny_config())
         cache = encode_source(model, np.array([3, 4, 2]), 0)
@@ -283,6 +303,29 @@ class TestCheckpointRoundTrip:
         other = build(tiny_config(seed=5))
         other.load_state(load_checkpoint(path).params)
         np.testing.assert_array_equal(other.forward_train(BATCH).data, before)
+
+    def test_truncated_file_raises_checkpoint_error_naming_it(self, tmp_path):
+        model = build(tiny_config())
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, Checkpoint(model.state_dict(), 3, config_digest(model.config)))
+        raw = path.read_bytes()
+        header = 4 + 32 + 12                       # version, digest, step and count
+        first = header + 4 + len("embedding.weight") + 4 + 2 * 8   # then its payload
+        cuts = {"empty": 0, "version": 2, "digest": 20, "step/count": 40, "header end": header - 1,
+                "name length": header + 2, "name": header + 10, "shape": first - 3,
+                "payload": first + 53 * 4, "last byte": len(raw) - 1}
+        for size in cuts.values():
+            cut = tmp_path / f"cut_{size}.ckpt"
+            cut.write_bytes(raw[:size])
+            with pytest.raises(CheckpointError, match=f"{cut.name}.*truncated"):
+                load_checkpoint(cut)
+        assert load_checkpoint(path).step == 3
+
+    def test_unknown_version_raises_checkpoint_error(self, tmp_path):
+        path = tmp_path / "future.ckpt"
+        path.write_bytes((99).to_bytes(4, "little") + bytes(44))
+        with pytest.raises(CheckpointError, match="future.ckpt.*version 99"):
+            load_checkpoint(path)
 
     def test_load_state_rejects_mismatched_names(self):
         model = build(tiny_config())

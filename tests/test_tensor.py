@@ -104,6 +104,22 @@ class TestKernels:
     def test_int_input_becomes_default_float(self):
         assert Tensor([1, 2, 3]).dtype == np.float32
 
+    @pytest.mark.parametrize("dtype, kept", [(np.int64, False), (np.int32, False), (np.bool_, False),
+                                             (np.float16, True), (np.float32, True),
+                                             (np.float64, True)])
+    def test_non_float_data_becomes_float32_floats_kept(self, dtype, kept):
+        data = np.array([[0, 1], [1, 0]], dtype=dtype)
+        t = Tensor(data)
+        assert t.dtype == (dtype if kept else np.float32)
+        np.testing.assert_array_equal(t.data, data.astype(np.float32))
+
+    def test_matmul_bias_shape_errors(self):
+        x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+        with pytest.raises(ShapeError):
+            matmul(x, w, Tensor(np.ones(3)))
+        with pytest.raises(ShapeError):
+            matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((2, 3, 4))), Tensor(np.ones(4)))
+
 
 class TestSoftmax:
     def test_uniform_row(self):
@@ -161,6 +177,19 @@ class TestLayerNorm:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)), 1e-5)
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 16), (2, 5, 64)])
+    def test_forward_bits_equal_mean_var_formula(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x = (rng.standard_normal(shape) * 3 + 1).astype(np.float32)
+        gamma = rng.standard_normal(shape[-1]).astype(np.float32)
+        beta = rng.standard_normal(shape[-1]).astype(np.float32)
+        eps = 1e-6
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+        expected = (x - x.mean(axis=-1, keepdims=True)) * inv * gamma + beta
+        out = layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), eps).data
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, expected)
 
 
 class TestBackward:
@@ -284,6 +313,26 @@ class TestGradCheck:
                                    np.einsum("...k,kn->...n", rows, weight), rtol=1e-12)
         assert grad_check(lambda t: matmul(t, Tensor(weight)), Tensor(rows), step=1e-2) <= 1e-8
         assert grad_check(lambda t: matmul(Tensor(rows), t), Tensor(weight), step=1e-2) <= 1e-8
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("rows_shape", [(3, 4), (2, 3, 4), (2, 2, 3, 4)])
+    def test_matmul_with_bias(self, rows_shape, seed):
+        # one tape record whose forward is matmul then add, bit for bit; the
+        # op is linear in each operand, so the wide step of the 2-D test applies
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal(rows_shape)
+        weight = rng.standard_normal((4, 5))
+        bias = rng.standard_normal(5)
+        with Tape() as tape:
+            fused = matmul(Tensor(rows), Tensor(weight, requires_grad=True),
+                           Tensor(bias, requires_grad=True))
+        assert len(tape) == 1
+        np.testing.assert_array_equal(
+            fused.data, add(matmul(Tensor(rows), Tensor(weight)), Tensor(bias)).data)
+        for f, point in [(lambda t: matmul(t, Tensor(weight), Tensor(bias)), rows),
+                         (lambda t: matmul(Tensor(rows), t, Tensor(bias)), weight),
+                         (lambda t: matmul(Tensor(rows), Tensor(weight), t), bias)]:
+            assert grad_check(f, Tensor(point), step=1e-2) <= 1e-8
 
     def test_embedding_table_gradient(self):
         ids = np.array([[0, 2], [2, 1]])

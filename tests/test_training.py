@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from treeformer.checkpoint import Checkpoint, average_checkpoints, load_checkpoint
-from treeformer.model import AggregationSpec, ModelConfig, build, config_digest
+from treeformer.model import AggregationSpec, ConfigError, ModelConfig, build, config_digest
 from treeformer.tasks import SyntheticTask
 from treeformer.tensor import NumericalError, Tensor
 from treeformer.training import (
@@ -267,11 +267,28 @@ class TestTrainLoop:
         assert strip_wall(read_metrics(uninterrupted.metrics_path)) == \
             strip_wall(read_metrics(resumed.metrics_path))
 
+    def test_resume_after_lost_checkpoint_logs_each_step_once(self, tmp_path):
+        config, task = _toy_setup(structure="rtal", formula="ewp_ffn")
+        full_spec = TrainingSpec(steps=6, batch_tokens=64, checkpoint_every=2)
+        uninterrupted = train(build(config), task, full_spec, tmp_path / "full", seed=3)
+
+        part_spec = TrainingSpec(steps=4, batch_tokens=64, checkpoint_every=2)
+        split = tmp_path / "split"
+        train(build(config), task, part_spec, split, seed=3)
+        (split / "checkpoints" / "step_000004.ckpt").unlink()   # resume falls back to step 2
+        with open(split / "metrics.jsonl", "a") as log:         # and a line torn by a crash
+            log.write('{"step": 5, "lo')
+        resumed = train(build(config), task, full_spec, split, seed=3, resume=True)
+
+        rows = read_metrics(resumed.metrics_path)
+        assert [r["step"] for r in rows] == list(range(1, 7))
+        assert strip_wall(rows) == strip_wall(read_metrics(uninterrupted.metrics_path))
+
     def test_resume_rejects_other_config(self, tmp_path):
         config, task = _toy_setup()
         train(build(config), task, TrainingSpec(steps=2, batch_tokens=64), tmp_path, seed=0)
         other, _ = _toy_setup(structure="rtal", formula="ewp_ffn")
-        with pytest.raises(NumericalError):
+        with pytest.raises(ConfigError, match="step_000002.ckpt"):
             train(build(other), task, TrainingSpec(steps=4, batch_tokens=64), tmp_path,
                   seed=0, resume=True)
 

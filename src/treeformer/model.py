@@ -24,6 +24,7 @@ from .nn import (
     Embedding,
     EncoderLayer,
     LayerNorm,
+    Packing,
     dropout,
     sinusoidal_positions,
 )
@@ -218,12 +219,12 @@ class Seq2SeqModel:
 
     # -- forward passes -----------------------------------------------------
 
-    def _embed(self, ids: np.ndarray, rng) -> Tensor:
+    def _embed(self, ids: np.ndarray, pack: Packing, rng) -> Tensor:
         seq_len = ids.shape[-1]
         if seq_len > self.config.max_len:
             raise ConfigError(f"sequence length {seq_len} exceeds max_len {self.config.max_len}")
-        x = scale(self.embedding(ids), math.sqrt(self.config.d_model))
-        x = add(x, Tensor(self.positions[:seq_len]))
+        x = scale(self.embedding(pack.gather(ids)), math.sqrt(self.config.d_model))
+        x = add(x, Tensor(self.positions[pack.positions]))
         return dropout(x, self.config.dropout, rng)
 
     def _aggregate(self, agg, outputs, rng) -> Tensor:
@@ -231,41 +232,49 @@ class Seq2SeqModel:
             return outputs[-1]
         return agg.apply(outputs[-agg.num_inputs:], rng)
 
-    def encode(self, src: np.ndarray, pad_id: int, rng=None) -> Tuple[Tensor, np.ndarray]:
-        """Run the encoder; returns (memory, source visibility mask)."""
+    def encode(self, src: np.ndarray, pad_id: int, rng=None, pack=None) -> Tuple[Tensor, np.ndarray]:
+        """Run the encoder on the rows of ``pack`` (by default every slot);
+        returns (memory, source visibility mask)."""
         src = np.asarray(src)
         visible = src != pad_id                       # (B, S)
         attn_mask = visible[:, None, None, :]         # (B, 1, 1, S)
-        x = self._embed(src, rng)
+        pack = pack or Packing(src.shape)
+        x = self._embed(src, pack, rng)
         outputs = []
         for layer in self.encoder_layers:
-            x = layer(x, attn_mask, rng)
+            x = layer(x, attn_mask, rng, pack)
             outputs.append(x)
         top = self._aggregate(self.encoder_agg, outputs, rng)
         return self.encoder_norm(top), visible
 
     def decode(self, tgt_in: np.ndarray, memory: Optional[Tensor], src_visible: np.ndarray,
-               pad_id: int, rng=None, cross_kv=None) -> Tensor:
-        """Run the decoder with causal+pad masking; returns logits.  ``cross_kv``, one (keys,
+               pad_id: int, rng=None, cross_kv=None, packs=None) -> Tensor:
+        """Run the decoder with causal+pad masking on the (target, source) ``packs`` (by default
+        every slot); returns (B, T, vocab) logits, 0 at left-out slots.  ``cross_kv``, one (keys,
         values) pair per layer as ``encode_source`` caches them, replaces projecting ``memory``."""
         tgt_in = np.asarray(tgt_in)
+        packs = packs or (Packing(tgt_in.shape), Packing(src_visible.shape))
         t = tgt_in.shape[-1]
         causal = np.tril(np.ones((t, t), dtype=bool))
         self_mask = causal[None, None, :, :] & (tgt_in != pad_id)[:, None, None, :]
         cross_mask = src_visible[:, None, None, :]
-        y = self._embed(tgt_in, rng)
+        y = self._embed(tgt_in, packs[0], rng)
         outputs = []
         for layer, kv in zip(self.decoder_layers, cross_kv or [None] * len(self.decoder_layers)):
-            y = layer(y, memory, self_mask, cross_mask, rng, kv)
+            y = layer(y, memory, self_mask, cross_mask, rng, kv, packs)
             outputs.append(y)
         top = self._aggregate(self.decoder_agg, outputs, rng)
         y = self.decoder_norm(top)
-        return matmul(y, transpose_last_two(self.embedding.weight))
+        return packs[0].unpack(matmul(y, transpose_last_two(self.embedding.weight)))
 
     def forward_train(self, batch, rng=None) -> Tensor:
-        """Teacher-forced forward pass; returns (B, T, vocab) logits."""
-        memory, src_visible = self.encode(batch.src, batch.pad_id, rng)
-        return self.decode(batch.tgt_in, memory, src_visible, batch.pad_id, rng)
+        """Teacher-forced forward pass on real rows only (non-pad sources; targets with a
+        non-pad input or output); returns (B, T, vocab) logits, 0 where the target is pad."""
+        pad = batch.pad_id
+        src_pack = Packing.of(batch.src != pad)
+        tgt_pack = Packing.of((batch.tgt_in != pad) | (batch.tgt_out != pad))
+        memory, src_visible = self.encode(batch.src, pad, rng, src_pack)
+        return self.decode(batch.tgt_in, memory, src_visible, pad, rng, packs=(tgt_pack, src_pack))
 
 
 def build(config: ModelConfig, dtype=np.float32) -> Seq2SeqModel:

@@ -8,7 +8,7 @@ deterministically with dropout disabled.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -89,18 +89,57 @@ def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tenso
     return mul_elementwise(x, Tensor(keep * (1.0 / (1.0 - rate))))
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None, num_heads: int = 1) -> Tensor:
+class Packing(NamedTuple):
+    """The slots of a padded (B, T) batch that hold real rows, as a flat row index.
+
+    Position-wise work runs on the (N, d) real rows only; attention scatters
+    them into (B, T, d) and gathers its output back.  ``rows=None`` is the
+    identity packing: every slot is a row, and arrays keep their (B, T, ...)
+    layout untouched.
+    """
+    shape: Tuple[int, ...]
+    rows: Optional[np.ndarray] = None
+
+    @classmethod
+    def of(cls, kept: np.ndarray) -> "Packing":
+        return cls(kept.shape, None if kept.all() else np.flatnonzero(kept))
+
+    @property
+    def positions(self) -> np.ndarray:  # each row's position in its sequence
+        t = self.shape[-1]
+        return np.arange(t) if self.rows is None else self.rows % t
+
+    def gather(self, x: np.ndarray) -> np.ndarray:  # (B, T, ...) -> (N, ...)
+        return x if self.rows is None else np.take(x.reshape((-1,) + x.shape[2:]), self.rows, axis=0)
+
+    def scatter(self, x: np.ndarray) -> np.ndarray:  # (N, d) -> (B, T, d), 0 at left-out slots
+        if self.rows is None:
+            return x
+        out = np.zeros((self.shape[0] * self.shape[1], x.shape[-1]), dtype=x.dtype)
+        out[self.rows] = x
+        return out.reshape(self.shape + x.shape[-1:])
+
+    def unpack(self, x: Tensor) -> Tensor:  # ``scatter`` as a taped op
+        return x if self.rows is None else record_op(self.scatter(x.data), (x,), lambda g: (self.gather(g),))
+
+
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None, num_heads: int = 1,
+                         packs: Optional[Tuple[Packing, Packing]] = None) -> Tensor:
     """Multi-head softmax(q k^T / sqrt(d_head)) v as one taped op.
 
     q is (..., Tq, d) and k, v are (..., Tk, d) with the same leading axes;
     the last axis is split into ``num_heads`` heads of d / num_heads, each
     head attends on its own, and the heads are merged back to (..., Tq, d).
+    With ``packs`` (the query packing and the key/value packing), q, k and v
+    are packed (N, d) rows: they are scattered into zero-filled (B, T, d)
+    here, and the output and the gradients are gathered back to rows.
     ``mask`` is a boolean array broadcastable to (..., num_heads, Tq, Tk);
     True marks a visible key.  A query row with no visible key raises
     MaskError.  The backward rule is the closed form
     dS = P * (dP - rowsum(dP * P)) (FlashAttention, Dao et al. 2022).
     """
-    qd, kd, vd = q.data, k.data, v.data
+    qp, kvp = packs or (Packing(q.shape[:-1]), Packing(k.shape[:-1]))
+    qd, kd, vd = qp.scatter(q.data), kvp.scatter(k.data), kvp.scatter(v.data)
     if qd.ndim < 2 or kd.shape != vd.shape or \
             (kd.shape[:-2], kd.shape[-1]) != (qd.shape[:-2], qd.shape[-1]):
         raise ShapeError(f"attention operands disagree: q {q.shape}, k {k.shape}, v {v.shape}")
@@ -130,13 +169,14 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None, num_heads: 
     p = e / e.sum(axis=-1, keepdims=True)
 
     def rule(g):
-        gh = split(g)
+        gh = split(qp.scatter(g))
         dp = gh @ vh.swapaxes(-1, -2)
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
         ds *= factor
-        return merge(ds @ kh), merge(ds.swapaxes(-1, -2) @ qh), merge(p.swapaxes(-1, -2) @ gh)
+        return (qp.gather(merge(ds @ kh)), kvp.gather(merge(ds.swapaxes(-1, -2) @ qh)),
+                kvp.gather(merge(p.swapaxes(-1, -2) @ gh)))
 
-    return record_op(merge(p @ vh), (q, k, v), rule)
+    return record_op(qp.gather(merge(p @ vh)), (q, k, v), rule)
 
 
 class MultiHeadAttention:
@@ -157,11 +197,11 @@ class MultiHeadAttention:
         """Keys and values; cross-attention computes them once per source."""
         return self.k_proj(k_in), self.v_proj(v_in)
 
-    def __call__(self, q_in: Tensor, k_in: Tensor, v_in: Tensor, mask=None, kv=None) -> Tensor:
+    def __call__(self, q_in: Tensor, k_in: Tensor, v_in: Tensor, mask=None, kv=None, packs=None) -> Tensor:
         """``kv``: keys and values from ``project_kv``, used instead of k_in and v_in."""
         q = self.q_proj(q_in)
         k, v = self.project_kv(k_in, v_in) if kv is None else kv
-        return self.out_proj(scaled_dot_attention(q, k, v, mask, self.num_heads))
+        return self.out_proj(scaled_dot_attention(q, k, v, mask, self.num_heads, packs))
 
     def named_parameters(self, prefix: str) -> NamedParams:
         yield from self.q_proj.named_parameters(f"{prefix}.q_proj")
@@ -201,9 +241,11 @@ class EncoderLayer:
         self.ffn = FeedForward(d_model, d_ff, rng, dtype)
         self.dropout_rate = dropout_rate
 
-    def __call__(self, x: Tensor, mask, rng: Optional[np.random.Generator] = None) -> Tensor:
+    def __call__(self, x: Tensor, mask, rng: Optional[np.random.Generator] = None,
+                 pack: Optional[Packing] = None) -> Tensor:
         h = self.ln1(x)
-        x = add(x, dropout(self.self_attn(h, h, h, mask), self.dropout_rate, rng))
+        x = add(x, dropout(self.self_attn(h, h, h, mask, packs=pack and (pack, pack)),
+                           self.dropout_rate, rng))
         x = add(x, dropout(self.ffn(self.ln2(x)), self.dropout_rate, rng))
         return x
 
@@ -226,11 +268,15 @@ class DecoderLayer:
         self.ffn = FeedForward(d_model, d_ff, rng, dtype)
         self.dropout_rate = dropout_rate
 
-    def __call__(self, x, memory, self_mask, cross_mask, rng=None, cross_kv=None) -> Tensor:
+    def __call__(self, x, memory, self_mask, cross_mask, rng=None, cross_kv=None,
+                 packs=None) -> Tensor:
+        """``packs``: the (target, source) packings when x and memory are packed rows."""
         h = self.ln1(x)
-        x = add(x, dropout(self.self_attn(h, h, h, self_mask), self.dropout_rate, rng))
+        x = add(x, dropout(self.self_attn(h, h, h, self_mask, packs=packs and (packs[0], packs[0])),
+                           self.dropout_rate, rng))
         h = self.ln2(x)
-        x = add(x, dropout(self.cross_attn(h, memory, memory, cross_mask, cross_kv), self.dropout_rate, rng))
+        x = add(x, dropout(self.cross_attn(h, memory, memory, cross_mask, cross_kv, packs),
+                           self.dropout_rate, rng))
         x = add(x, dropout(self.ffn(self.ln3(x)), self.dropout_rate, rng))
         return x
 

@@ -149,13 +149,15 @@ def _load_matching(path, digest: Optional[bytes]) -> Checkpoint:
 
 
 def _save_state(ckpt_dir: Path, model: Seq2SeqModel, state: AdamState, step: int, digest: bytes) -> Path:
-    path = _checkpoint_path(ckpt_dir, step)
-    save_checkpoint(path, Checkpoint(params=model.state_dict(), step=step, config_digest=digest))
+    # the moments go first: resume picks the newest .ckpt, so every .ckpt
+    # on disk must already have its .optim when a crash cuts the pair
     moments = {}
     for name in state.m:
         moments[f"m.{name}"] = state.m[name]
         moments[f"v.{name}"] = state.v[name]
     save_checkpoint(_optim_path(ckpt_dir, step), Checkpoint(params=moments, step=step, config_digest=digest))
+    path = _checkpoint_path(ckpt_dir, step)
+    save_checkpoint(path, Checkpoint(params=model.state_dict(), step=step, config_digest=digest))
     return path
 
 

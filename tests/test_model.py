@@ -19,7 +19,7 @@ from treeformer.model import (
     tree_span,
 )
 from treeformer.nn import label_smoothed_ce
-from treeformer.tasks import make_batch
+from treeformer.tasks import Batch, make_batch
 from treeformer.tensor import Tape, Tensor
 
 from oracles import np_log_softmax, np_vanilla_forward
@@ -32,7 +32,8 @@ def tiny_config(**kwargs) -> ModelConfig:
     return ModelConfig(**base)
 
 
-BATCH = make_batch([((3, 4, 5, 6), (3, 4, 5, 6)), ((7, 8), (7, 8))])
+BATCH_PAIRS = [((3, 4, 5, 6), (3, 4, 5, 6)), ((7, 8), (7, 8))]
+BATCH = make_batch(BATCH_PAIRS)
 
 ALL_SPECS = [AggregationSpec("none", "mean", "both")] + [
     AggregationSpec(structure, formula, position)
@@ -148,7 +149,10 @@ class TestForward:
         model = build(tiny_config())
         ours = model.forward_train(BATCH).data
         ref = np_vanilla_forward(model, BATCH)
-        np.testing.assert_allclose(ours, ref, rtol=1e-4, atol=1e-5)
+        real = BATCH.tgt_out != BATCH.pad_id
+        np.testing.assert_allclose(ours[real], ref[real], rtol=1e-4, atol=1e-5)
+        # training runs on real rows only: logits at pad-target slots are exactly 0
+        assert not real.all() and (ours[~real] == 0).all()
 
     @pytest.mark.parametrize("structure, formula", [("none", "mean"), ("rtal", "ewp_ffn"),
                                                     ("linear", "mean"), ("iterative", "concat_ffn")])
@@ -172,6 +176,52 @@ class TestForward:
         long_batch = make_batch([(tuple(range(3, 9)), tuple(range(3, 9)))])
         with pytest.raises(ConfigError):
             model.forward_train(long_batch)
+
+
+class TestPackedTraining:
+    """forward_train runs on real rows only, so padding is invisible to it."""
+
+    SPECS = [AggregationSpec("none", "mean", "both"), AggregationSpec("rtal", "ewp_ffn", "both")]
+
+    @staticmethod
+    def _loss_and_grads(model, batch):
+        model.zero_grad()
+        with Tape() as tape:
+            loss = label_smoothed_ce(model.forward_train(batch), batch.tgt_out, 0.1, batch.pad_id)
+        tape.backward(loss)
+        return loss.item(), {name: p.grad.copy() for name, p in model.named_parameters()}
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.structure)
+    def test_extra_pad_column_leaves_loss_and_gradients(self, spec):
+        model = build(tiny_config(num_layers=4, aggregation=spec))
+        wider = Batch(*(np.pad(a, ((0, 0), (0, 1)), constant_values=BATCH.pad_id)
+                        for a in (BATCH.src, BATCH.tgt_in, BATCH.tgt_out)), pad_id=BATCH.pad_id)
+        loss, grads = self._loss_and_grads(model, BATCH)
+        wider_loss, wider_grads = self._loss_and_grads(model, wider)
+        assert wider_loss == pytest.approx(loss, rel=1e-5)
+        for name, g in grads.items():
+            scale = np.abs(g).max()
+            np.testing.assert_allclose(wider_grads[name], g, rtol=1e-5, atol=1e-5 * scale, err_msg=name)
+
+    def test_target_slot_with_pad_output_still_serves_as_key(self):
+        # a pad target inside a sentence: its input token is real and later
+        # positions attend to it, so the row must be computed
+        model = build(tiny_config())
+        holed = Batch(BATCH.src, BATCH.tgt_in, BATCH.tgt_out.copy(), BATCH.pad_id)
+        holed.tgt_out[0, 1] = BATCH.pad_id
+        real = holed.tgt_out != BATCH.pad_id
+        np.testing.assert_allclose(model.forward_train(holed).data[real],
+                                   np_vanilla_forward(model, holed)[real], rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.structure)
+    def test_each_sentence_matches_its_own_batch(self, spec):
+        model = build(tiny_config(num_layers=4, aggregation=spec))
+        logits = model.forward_train(BATCH).data
+        for i, pair in enumerate(BATCH_PAIRS):
+            alone = make_batch([pair])
+            real = alone.tgt_out.shape[1]
+            np.testing.assert_allclose(logits[i, :real], model.forward_train(alone).data[0],
+                                       rtol=1e-5, atol=1e-6)
 
 
 class TestForwardStep:

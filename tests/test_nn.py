@@ -12,6 +12,7 @@ from treeformer.nn import (
     FeedForward,
     Linear,
     MultiHeadAttention,
+    Packing,
     dropout,
     label_smoothed_ce,
     scaled_dot_attention,
@@ -117,6 +118,77 @@ class TestFusedMultiHeadAttention:
         x = Tensor(np.ones((1, 3, 4)))
         with pytest.raises(ShapeError):
             scaled_dot_attention(x, x, x, num_heads=3)
+
+
+class TestPacking:
+    def test_identity_packing_leaves_arrays_alone(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        full = Packing.of(np.ones((2, 3), dtype=bool))
+        assert full.rows is None
+        assert full.gather(x) is x and full.scatter(x) is x
+        t = Tensor(x)
+        assert full.unpack(t) is t
+        np.testing.assert_array_equal(full.positions, [0, 1, 2])
+
+    def test_gather_scatter_round_trip(self):
+        kept = np.array([[True, True, False], [True, False, False]])
+        pack = Packing.of(kept)
+        x = np.arange(24.0).reshape(2, 3, 4)
+        rows = pack.gather(x)
+        np.testing.assert_array_equal(rows, x[kept])
+        np.testing.assert_array_equal(pack.positions, [0, 1, 0])
+        np.testing.assert_array_equal(pack.scatter(rows), np.where(kept[..., None], x, 0.0))
+
+
+def _packed_case(case, seed):
+    """Operands with rows dropped on the query and key sides, hidden keys masked."""
+    rng = np.random.default_rng(seed)
+    batch, tq, d = 2, 4, 6
+    q_kept = np.array([[True, True, True, False], [True, True, False, False]])
+    if case == "cross":
+        tk = 5
+        kv_kept = np.array([[True, True, False, False, False], [True, True, True, True, False]])
+        mask = kv_kept[:, None, None, :]
+    else:   # decoder self-attention: one packing, causal mask over visible keys
+        tk, kv_kept = tq, q_kept
+        mask = np.tril(np.ones((tq, tq), dtype=bool))[None, None] & kv_kept[:, None, None, :]
+    padded = [rng.standard_normal((batch, tq, d)), rng.standard_normal((batch, tk, d)),
+              rng.standard_normal((batch, tk, d))]
+    return padded, mask, (Packing.of(q_kept), Packing.of(kv_kept))
+
+
+class TestPackedAttention:
+    """scaled_dot_attention on packed rows: padding exists only inside the op."""
+
+    @pytest.mark.parametrize("case", ["cross", "self_causal"])
+    def test_forward_equals_padded_op_at_kept_rows(self, case):
+        (q, k, v), mask, (qp, kvp) = _packed_case(case, 30)
+        padded = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), mask, num_heads=2).data
+        packed = scaled_dot_attention(Tensor(qp.gather(q)), Tensor(kvp.gather(k)),
+                                      Tensor(kvp.gather(v)), mask, 2, (qp, kvp)).data
+        assert packed.shape == (len(qp.rows), 6)
+        np.testing.assert_allclose(packed, qp.gather(padded), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("operand", [0, 1, 2])
+    @pytest.mark.parametrize("case", ["cross", "self_causal"])
+    def test_grad_check_each_operand(self, case, operand):
+        padded, mask, packs = _packed_case(case, 31 + operand)
+        rows = [packs[0].gather(padded[0])] + [packs[1].gather(x) for x in padded[1:]]
+
+        def f(t):
+            args = [Tensor(x) for x in rows]
+            args[operand] = t
+            return scaled_dot_attention(*args, mask=mask, num_heads=2, packs=packs)
+
+        assert grad_check(f, Tensor(rows[operand])) <= 1e-5
+
+    def test_kept_row_without_visible_key_raises(self):
+        (q, k, v), mask, (qp, kvp) = _packed_case("cross", 34)
+        mask = mask.copy()
+        mask[1] = False
+        with pytest.raises(MaskError):
+            scaled_dot_attention(Tensor(qp.gather(q)), Tensor(kvp.gather(k)), Tensor(kvp.gather(v)),
+                                 mask, 2, (qp, kvp))
 
 
 class TestMultiHeadAttention:

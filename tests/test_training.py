@@ -9,6 +9,7 @@ import pytest
 from treeformer.checkpoint import Checkpoint, average_checkpoints, load_checkpoint
 from treeformer.model import AggregationSpec, ConfigError, ModelConfig, build, config_digest
 from treeformer.tasks import SyntheticTask
+from treeformer import training
 from treeformer.tensor import NumericalError, Tensor
 from treeformer.training import (
     TrainingSpec,
@@ -283,6 +284,35 @@ class TestTrainLoop:
         rows = read_metrics(resumed.metrics_path)
         assert [r["step"] for r in rows] == list(range(1, 7))
         assert strip_wall(rows) == strip_wall(read_metrics(uninterrupted.metrics_path))
+
+    @pytest.mark.parametrize("suffix", [".ckpt", ".optim"])
+    def test_crash_inside_checkpoint_pair_resumes_from_last_pair(self, tmp_path, monkeypatch, suffix):
+        config, task = _toy_setup(structure="rtal", formula="ewp_ffn")
+        spec = TrainingSpec(steps=6, batch_tokens=64, checkpoint_every=2)
+        uninterrupted = train(build(config), task, spec, tmp_path / "full", seed=3)
+
+        save = training.save_checkpoint
+
+        def crash_at_step_4(path, ckpt):
+            if str(path).endswith("step_000004" + suffix):
+                raise OSError(f"simulated crash writing {path}")
+            save(path, ckpt)
+
+        split = tmp_path / "split"
+        monkeypatch.setattr(training, "save_checkpoint", crash_at_step_4)
+        with pytest.raises(OSError, match="simulated crash"):
+            train(build(config), task, spec, split, seed=3)
+        monkeypatch.undo()
+        assert not (split / "checkpoints" / "step_000004.ckpt").exists()
+        resumed = train(build(config), task, spec, split, seed=3, resume=True)
+
+        final_a = load_checkpoint(uninterrupted.checkpoints[-1])
+        final_b = load_checkpoint(resumed.checkpoints[-1])
+        assert final_a.step == final_b.step == 6
+        for name in final_a.params:
+            np.testing.assert_array_equal(final_a.params[name], final_b.params[name])
+        assert strip_wall(read_metrics(uninterrupted.metrics_path)) == \
+            strip_wall(read_metrics(resumed.metrics_path))
 
     def test_resume_rejects_other_config(self, tmp_path):
         config, task = _toy_setup()

@@ -22,7 +22,7 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .nn import LayerNorm, Linear, NamedParams, dropout
+from .nn import FeedForward, LayerNorm, NamedParams, dropout
 from .tensor import (
     ShapeError,
     Tensor,
@@ -30,7 +30,6 @@ from .tensor import (
     concat_last_dim,
     matmul,
     mul_elementwise,
-    relu,
     reshape,
     scale,
     softmax_last_dim,
@@ -65,22 +64,17 @@ class MeanFormula:
         return iter(())
 
 
-class ConcatFfnFormula:
+class ConcatFfnFormula(FeedForward):
     """Concatenate to 2d, then a single-hidden-layer network back to d."""
 
     def __init__(self, d_model: int, inner_dim: int, rng: np.random.Generator, dtype=np.float32):
-        self.lin1 = Linear(2 * d_model, inner_dim, rng, dtype)
-        self.lin2 = Linear(inner_dim, d_model, rng, dtype)
+        super().__init__(d_model, inner_dim, rng, dtype, in_dim=2 * d_model)
 
     def apply(self, a: Tensor, b: Tensor, rng=None) -> Tensor:
-        return self.lin2(relu(self.lin1(concat_last_dim(a, b))))
-
-    def named_parameters(self, prefix: str) -> NamedParams:
-        yield from self.lin1.named_parameters(f"{prefix}.lin1")
-        yield from self.lin2.named_parameters(f"{prefix}.lin2")
+        return self(concat_last_dim(a, b))
 
 
-class EwpFfnFormula:
+class EwpFfnFormula(FeedForward):
     """Scale the elementwise sum by a trainable beta, then LN -> FFN -> residual.
 
     s = beta * (a + b); output = dropout(FFN(LN(s))) + s.
@@ -88,20 +82,17 @@ class EwpFfnFormula:
 
     def __init__(self, d_model, inner_dim, dropout_rate, ln_eps, rng, dtype=np.float32):
         self.norm = LayerNorm(d_model, ln_eps, dtype)
-        self.lin1 = Linear(d_model, inner_dim, rng, dtype)
-        self.lin2 = Linear(inner_dim, d_model, rng, dtype)
+        super().__init__(d_model, inner_dim, rng, dtype)
         self.beta = Tensor(np.asarray(1.0, dtype=dtype), requires_grad=True)
         self.dropout_rate = dropout_rate
 
     def apply(self, a: Tensor, b: Tensor, rng=None) -> Tensor:
         s = mul_elementwise(add(a, b), self.beta)
-        f = self.lin2(relu(self.lin1(self.norm(s))))
-        return add(dropout(f, self.dropout_rate, rng), s)
+        return add(dropout(self(self.norm(s)), self.dropout_rate, rng), s)
 
     def named_parameters(self, prefix: str) -> NamedParams:
         yield from self.norm.named_parameters(f"{prefix}.norm")
-        yield from self.lin1.named_parameters(f"{prefix}.lin1")
-        yield from self.lin2.named_parameters(f"{prefix}.lin2")
+        yield from super().named_parameters(prefix)
         yield f"{prefix}.beta", self.beta
 
 

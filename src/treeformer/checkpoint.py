@@ -7,11 +7,13 @@ Layout (all integers little-endian):
 
 Float payloads round-trip bit-exactly.  Writes go through a temp file and
 an atomic rename.  A file that ends early or has another format version
-raises ``CheckpointError``.
+raises ``CheckpointError``, as does a length field that runs past the end
+of the file or a record name that is not UTF-8.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -58,11 +60,14 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
 def load_checkpoint(path) -> Checkpoint:
     path = os.fspath(path)
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
+
         def read(n: int) -> bytes:
-            raw = fh.read(n)
-            if len(raw) != n:
-                raise CheckpointError(f"checkpoint {path} is truncated (ends at byte {fh.tell()})")
-            return raw
+            # checked before reading, so a corrupt length field cannot ask for gigabytes
+            if n > end - fh.tell():
+                raise CheckpointError(f"checkpoint {path} is truncated (ends at byte {end}, "
+                                      f"{n} bytes wanted at byte {fh.tell()})")
+            return fh.read(n)
 
         version = struct.unpack("<I", read(4))[0]
         if version != FORMAT_VERSION:
@@ -72,10 +77,14 @@ def load_checkpoint(path) -> Checkpoint:
         params: Dict[str, np.ndarray] = {}
         for _ in range(count):
             name_len = struct.unpack("<I", read(4))[0]
-            name = read(name_len).decode("utf-8")
+            try:
+                name = read(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"checkpoint {path} has a record name that is not UTF-8 "
+                                      f"(ends at byte {fh.tell()}): {exc}") from exc
             rank = struct.unpack("<I", read(4))[0]
             shape = struct.unpack(f"<{rank}Q", read(8 * rank)) if rank else ()
-            size = int(np.prod(shape)) if shape else 1
+            size = math.prod(shape)  # exact: a corrupt extent cannot wrap around
             data = np.frombuffer(read(4 * size), dtype="<f4").reshape(shape)
             params[name] = data.astype(np.float32)
     return Checkpoint(params=params, step=step, config_digest=digest)

@@ -18,17 +18,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import aggregation
 from .checkpoint import list_checkpoints, save_checkpoint
 from .decoding import beam_search
 from .diagnostics import gradient_suite
 from .model import (
-    POSITIONS,
+    AXES,
     ConfigError,
     ModelConfig,
     aggregated_span,
     build,
     config_digest,
+    from_section,
     param_report,
 )
 from .tasks import EOS, SyntheticTask
@@ -45,13 +45,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "task": dataclasses.asdict(self.task),
-            "training": dataclasses.asdict(self.training),
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
     def validate(self) -> None:
         self.model.validate()
@@ -70,16 +64,9 @@ class ExperimentConfig:
             )
 
 
-def _build_section(name: str, cls, raw: dict):
-    if not isinstance(raw, dict):
-        raise ConfigError(f"section {name!r} must be an object")
-    if cls is ModelConfig:
-        return ModelConfig.from_dict(raw)
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {name} field(s): {sorted(unknown)}")
-    return cls(**raw)
+def _with_seed(section, seed: int):
+    """A task or model section with ``seed`` filled in unless it sets its own."""
+    return {"seed": seed, **section} if isinstance(section, dict) else section
 
 
 def _read_json(path):
@@ -96,24 +83,18 @@ def load_experiment(path, overrides=()) -> ExperimentConfig:
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("experiment config must be a JSON object")
-    unknown = set(raw) - {"model", "task", "training", "out_dir", "seed"}
-    if unknown:
-        raise ConfigError(f"unknown experiment field(s): {sorted(unknown)}")
     for key, value in overrides:
         _apply_override(raw, key, value)
     seed = int(raw.get("seed", 0))
-    model_raw = dict(raw.get("model", {}))
-    task_raw = dict(raw.get("task", {}))
-    model_raw.setdefault("seed", seed)
-    task_raw.setdefault("seed", seed)
     try:
-        config = ExperimentConfig(
-            model=_build_section("model", ModelConfig, model_raw),
-            task=_build_section("task", SyntheticTask, task_raw),
-            training=_build_section("training", TrainingSpec, raw.get("training", {})),
-            out_dir=str(raw.get("out_dir", "runs/run")),
-            seed=seed,
-        )
+        config = from_section(ExperimentConfig, {
+            **raw,
+            "model": ModelConfig.from_dict(_with_seed(raw.get("model", {}), seed)),
+            "task": from_section(SyntheticTask, _with_seed(raw.get("task", {}), seed), "task"),
+            "training": from_section(TrainingSpec, raw.get("training", {}), "training"),
+            "out_dir": str(raw.get("out_dir", "runs/run")),
+            "seed": seed,
+        }, "experiment")
     except TypeError as exc:
         raise ConfigError(str(exc))
     config.validate()
@@ -235,25 +216,14 @@ def cmd_average(args) -> int:
     return 0
 
 
-_AXIS_VALUES = {
-    "position": POSITIONS,
-    "formula": aggregation.FORMULAS,
-    "structure": aggregation.STRUCTURES,
-}
-
-
 def cmd_ablate(args) -> int:
     if not args.axis:
-        raise ConfigError("ablate needs at least one --axis (position, formula, structure)")
+        raise ConfigError(f"ablate needs at least one --axis ({', '.join(AXES)})")
     config = load_experiment(args.config, _parse_set(args.set))
     out_dir = Path(args.out_dir or config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    axes = []
-    for axis in args.axis:
-        if axis not in _AXIS_VALUES:
-            raise ConfigError(f"unknown ablation axis {axis!r}, expected one of {sorted(_AXIS_VALUES)}")
-        axes.append([(axis, value) for value in _AXIS_VALUES[axis]])
+    axes = [[(axis, value) for value in AXES[axis]] for axis in args.axis]
 
     rows = []
     for cell in itertools.product(*axes):
@@ -261,18 +231,8 @@ def cmd_ablate(args) -> int:
                                    **{axis: value for axis, value in cell})
         cell_name = "_".join(value for _, value in cell)
         cell_model = dataclasses.replace(config.model, aggregation=spec)
-        row = {
-            "cell": cell_name,
-            "structure": spec.structure,
-            "formula": spec.formula,
-            "position": spec.position,
-            "status": "ok",
-            "params": "",
-            "final_loss": "",
-            "token_accuracy": "",
-            "bleu": "",
-            "exact_match": "",
-        }
+        row = {"cell": cell_name, **dataclasses.asdict(spec), "status": "ok",
+               **dict.fromkeys(("params", "final_loss", "token_accuracy", "bleu", "exact_match"), "")}
         try:
             cell_model.validate()
             row["params"] = param_report(cell_model)["total"]
@@ -295,10 +255,8 @@ def cmd_ablate(args) -> int:
         print(f"[{row['status']}] {cell_name}: loss={row['final_loss']} "
               f"bleu={row['bleu']} params={row['params']}")
 
-    fields = ["cell", "structure", "formula", "position", "status", "params",
-              "final_loss", "token_accuracy", "bleu", "exact_match"]
     with open(out_dir / "report.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     (out_dir / "report.json").write_text(json.dumps(rows, indent=2) + "\n")
@@ -338,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="train a grid of aggregation variants and report")
     p.add_argument("config")
-    p.add_argument("--axis", action="append", choices=sorted(_AXIS_VALUES))
+    p.add_argument("--axis", action="append", choices=sorted(AXES))
     p.add_argument("--out-dir")
     p.add_argument("--eval-samples", type=int, default=32)
     p.add_argument("--beam", type=int, default=4)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
@@ -36,6 +36,18 @@ class ConfigError(ValueError):
 
 
 POSITIONS = ("encoder", "decoder", "both")
+# The axes of an aggregation setting and the values each may take.
+AXES = {"structure": aggregation.STRUCTURES, "formula": aggregation.FORMULAS, "position": POSITIONS}
+
+
+def from_section(cls, raw, name: str):
+    """Build the dataclass ``cls`` from the config section ``raw``, rejecting unknown fields."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"section {name!r} must be an object")
+    unknown = set(raw) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {name} field(s): {sorted(unknown)}")
+    return cls(**raw)
 
 
 @dataclass
@@ -45,18 +57,9 @@ class AggregationSpec:
     position: str = "both"    # encoder | decoder | both
 
     def validate(self) -> None:
-        if self.structure not in aggregation.STRUCTURES:
-            raise ConfigError(
-                f"aggregation.structure must be one of {aggregation.STRUCTURES}, got {self.structure!r}"
-            )
-        if self.formula not in aggregation.FORMULAS:
-            raise ConfigError(
-                f"aggregation.formula must be one of {aggregation.FORMULAS}, got {self.formula!r}"
-            )
-        if self.position not in POSITIONS:
-            raise ConfigError(
-                f"aggregation.position must be one of {POSITIONS}, got {self.position!r}"
-            )
+        for axis, values in AXES.items():
+            if getattr(self, axis) not in values:
+                raise ConfigError(f"aggregation.{axis} must be one of {values}, got {getattr(self, axis)!r}")
 
     def active_on(self, side: str) -> bool:
         return self.structure != "none" and self.position in (side, "both")
@@ -112,17 +115,9 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
-        raw = dict(raw)
-        agg = raw.pop("aggregation", {})
-        if isinstance(agg, dict):
-            unknown = set(agg) - {"structure", "formula", "position"}
-            if unknown:
-                raise ConfigError(f"unknown aggregation field(s): {sorted(unknown)}")
-            agg = AggregationSpec(**agg)
-        unknown = set(raw) - {f for f in cls.__dataclass_fields__ if f != "aggregation"}
-        if unknown:
-            raise ConfigError(f"unknown model field(s): {sorted(unknown)}")
-        return cls(aggregation=agg, **raw)
+        if isinstance(raw, dict) and isinstance(raw.get("aggregation"), dict):
+            raw = {**raw, "aggregation": from_section(AggregationSpec, raw["aggregation"], "aggregation")}
+        return from_section(cls, raw, "model")
 
 
 def config_digest(config: ModelConfig) -> bytes:
@@ -181,17 +176,15 @@ class Seq2SeqModel:
     # -- parameters ---------------------------------------------------------
 
     def named_parameters(self) -> Iterator[Tuple[str, Tensor]]:
-        yield "embedding.weight", self.embedding.weight
-        for i, layer in enumerate(self.encoder_layers):
-            yield from layer.named_parameters(f"encoder.layers.{i}")
-        yield from self.encoder_norm.named_parameters("encoder.norm")
-        if self.encoder_agg is not None:
-            yield from self.encoder_agg.named_parameters("encoder.agg")
-        for i, layer in enumerate(self.decoder_layers):
-            yield from layer.named_parameters(f"decoder.layers.{i}")
-        yield from self.decoder_norm.named_parameters("decoder.norm")
-        if self.decoder_agg is not None:
-            yield from self.decoder_agg.named_parameters("decoder.agg")
+        yield from self.embedding.named_parameters("embedding")
+        for stack, layers, norm, agg in (
+                ("encoder", self.encoder_layers, self.encoder_norm, self.encoder_agg),
+                ("decoder", self.decoder_layers, self.decoder_norm, self.decoder_agg)):
+            for i, layer in enumerate(layers):
+                yield from layer.named_parameters(f"{stack}.layers.{i}")
+            yield from norm.named_parameters(f"{stack}.norm")
+            if agg is not None:
+                yield from agg.named_parameters(f"{stack}.agg")
 
     def parameters(self) -> Dict[str, Tensor]:
         return dict(self.named_parameters())

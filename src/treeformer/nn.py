@@ -65,10 +65,12 @@ class LayerNorm:
 
 
 class FeedForward:
-    """Position-wise two-layer network with a ReLU in between."""
+    """Position-wise two-layer network with a ReLU in between, from ``in_dim``
+    (default ``d_model``) through ``d_ff`` to ``d_model``."""
 
-    def __init__(self, d_model: int, d_ff: int, rng: np.random.Generator, dtype=np.float32):
-        self.lin1 = Linear(d_model, d_ff, rng, dtype)
+    def __init__(self, d_model: int, d_ff: int, rng: np.random.Generator, dtype=np.float32,
+                 in_dim: Optional[int] = None):
+        self.lin1 = Linear(in_dim or d_model, d_ff, rng, dtype)
         self.lin2 = Linear(d_ff, d_model, rng, dtype)
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -161,6 +161,24 @@ def _save_state(ckpt_dir: Path, model: Seq2SeqModel, state: AdamState, step: int
     return path
 
 
+def _metrics_up_to(path: Path, step: int) -> List[str]:
+    """The lines of a metrics log up to ``step``: later steps are replayed on resume,
+    and a torn last line (no newline) is dropped.  Any other unreadable line raises
+    ``ConfigError`` naming the file and the line."""
+    if not path.exists():
+        return []
+    kept = []
+    for number, line in enumerate(path.read_bytes().splitlines(keepends=True), 1):
+        if not line.endswith(b"\n"):
+            continue
+        try:
+            if json.loads(line)["step"] <= step:
+                kept.append(line.decode())
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{path} line {number} is not a metrics record: {exc}") from exc
+    return kept
+
+
 def train(model: Seq2SeqModel, task: SyntheticTask, spec: TrainingSpec, out_dir,
           seed: int = 0, resume: bool = False) -> TrainResult:
     """Train ``model`` on the task's train split, emitting run artifacts.
@@ -192,9 +210,7 @@ def train(model: Seq2SeqModel, task: SyntheticTask, spec: TrainingSpec, out_dir,
             state.m[name] = optim.params[f"m.{name}"].astype(model.dtype)
             state.v[name] = optim.params[f"v.{name}"].astype(model.dtype)
         start_step = ckpt.step
-        # steps after the checkpoint are replayed: drop their lines and any torn last line
-        lines = metrics_path.read_text().splitlines(keepends=True) if metrics_path.exists() else []
-        kept = [ln for ln in lines if ln.endswith("\n") and json.loads(ln)["step"] <= start_step]
+        kept = _metrics_up_to(metrics_path, start_step)
     else:
         state = adam_init(params)
         _save_state(ckpt_dir, model, state, 0, digest)

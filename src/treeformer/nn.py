@@ -158,22 +158,33 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None, num_heads: 
         return x.reshape(x.shape[:-2] + (d,))
 
     qh, kh, vh = split(qd), split(kd), split(vd)
+    # The softmax runs key-major, on a (Tk, ..., heads, Tq) copy of the
+    # scores: numpy reduces a short last axis one row at a time, but a
+    # leading axis in a few whole-array passes.  Stacked matmul is fast only
+    # on a C-ordered right operand, so K^T and V^T are copied once.
+    n = qh.ndim
+    to_keys, from_keys = (n - 1, *range(n - 1)), (*range(1, n), 0)
+    pk = np.ascontiguousarray((qh @ np.ascontiguousarray(kh.swapaxes(-1, -2))).transpose(to_keys))
     # a Python float: a numpy float64 scalar would promote float32 scores
     factor = 1.0 / math.sqrt(head_dim)
-    s = (qh @ kh.swapaxes(-1, -2)) * factor
+    pk *= factor
     if mask is not None:
         m = np.asarray(mask, dtype=bool)
-        visible = np.broadcast_to(m, s.shape)
         if not m.any(axis=-1).all():
             raise MaskError("softmax row is fully masked")
-        s = np.where(visible, s, -np.inf)
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+        m = m.reshape((1,) * (n - m.ndim) + m.shape)
+        np.copyto(pk, -np.inf, where=~m.transpose(to_keys))
+    pk -= pk.max(axis=0)
+    np.exp(pk, out=pk)
+    pk /= pk.sum(axis=0)
+    p = np.ascontiguousarray(pk.transpose(from_keys))
 
     def rule(g):
         gh = split(qp.scatter(g))
-        dp = gh @ vh.swapaxes(-1, -2)
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+        dsk = np.ascontiguousarray((gh @ np.ascontiguousarray(vh.swapaxes(-1, -2))).transpose(to_keys))
+        dsk -= (dsk * pk).sum(axis=0)
+        dsk *= pk
+        ds = np.ascontiguousarray(dsk.transpose(from_keys))
         ds *= factor
         return (qp.gather(merge(ds @ kh)), kvp.gather(merge(ds.swapaxes(-1, -2) @ qh)),
                 kvp.gather(merge(p.swapaxes(-1, -2) @ gh)))

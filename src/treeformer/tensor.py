@@ -367,11 +367,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta_shift: Tensor, eps: float = 1e-6) 
         dgamma = (g * xhat).sum(axis=reduce_axes)
         dbeta = g.sum(axis=reduce_axes)
         dxhat = g * gdata
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        # row means as (rows, d) @ (d, 1) GEMVs: numpy's mean over a short
+        # last axis reduces one row at a time, about ten times slower
+        mean_col = np.full((d, 1), 1.0 / d, dtype=dxhat.dtype)
+
+        def row_mean(a):
+            return (a.reshape(-1, d) @ mean_col).reshape(var.shape)
+
+        dx = inv * (dxhat - row_mean(dxhat) - xhat * row_mean(dxhat * xhat))
         return dx, dgamma, dbeta
 
     return record_op(out, (x, gamma, beta_shift), rule)
@@ -408,17 +411,18 @@ def finite_difference_error(objective, x: np.ndarray, analytic: np.ndarray, step
     of ``x`` is perturbed in place by +-step and restored.  Returns
     max_i |analytic_i - numeric_i| / max(|analytic_i|, |numeric_i|, 1e-8).
     """
-    flat = x.reshape(-1)
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
+    # indexed in place, not through reshape(-1): that copies an x that is not
+    # C-ordered (np.array of a broadcast view is not), and the copy's
+    # perturbations never reach the objective
+    numeric = np.zeros(x.shape, dtype=x.dtype)
+    for i in np.ndindex(x.shape):
+        orig = x[i]
+        x[i] = orig + step
         hi = objective()
-        flat[i] = orig - step
+        x[i] = orig - step
         lo = objective()
-        flat[i] = orig
+        x[i] = orig
         numeric[i] = (hi - lo) / (2.0 * step)
-    a = analytic.reshape(-1)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
-    rel = np.abs(a - numeric) / denom
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    rel = np.abs(analytic - numeric) / denom
     return float(rel.max()) if rel.size else 0.0

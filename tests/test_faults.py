@@ -8,6 +8,7 @@ Through the CLI each fault exits 1 with the path on stderr.
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from treeformer.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
@@ -21,12 +22,22 @@ NAME = "embedding.weight"                   # the first record
 NAME_AT = HEADER + 4
 RANK_AT = NAME_AT + len(NAME)
 EXTENT_AT = RANK_AT + 4
+PAYLOAD_AT = EXTENT_AT + 16                 # the first record is a matrix
 
 
 def _corrupt(path, offset, raw: bytes):
     data = bytearray(path.read_bytes())
     data[offset:offset + len(raw)] = raw
     path.write_bytes(bytes(data))
+
+
+def _flip(path, offset):
+    _corrupt(path, offset, bytes([path.read_bytes()[offset] ^ 0x01]))
+
+
+def _as_format_1(path):
+    """Rewrite a checkpoint in format 1: the same header and records, no CRC32 footer."""
+    path.write_bytes(struct.pack("<I", 1) + path.read_bytes()[4:-4])
 
 
 @pytest.fixture()
@@ -54,6 +65,28 @@ class TestCorruptCheckpoint:
         _corrupt(ckpt_path, offset, raw)
         with pytest.raises(CheckpointError, match=f"{ckpt_path.name}.*truncated"):
             load_checkpoint(ckpt_path)
+
+    def test_flipped_payload_byte_fails_the_crc(self, ckpt_path):
+        _flip(ckpt_path, PAYLOAD_AT + 5)
+        with pytest.raises(CheckpointError, match=f"{ckpt_path.name}.*CRC32"):
+            load_checkpoint(ckpt_path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_trailing_bytes_name_the_file(self, ckpt_path, version):
+        if version == 1:
+            _as_format_1(ckpt_path)
+        ckpt_path.write_bytes(ckpt_path.read_bytes() + b"\0" * 4)
+        with pytest.raises(CheckpointError, match=f"{ckpt_path.name}.*4 bytes after its last record"):
+            load_checkpoint(ckpt_path)
+
+    def test_format_1_without_crc_still_loads(self, ckpt_path):
+        expected = load_checkpoint(ckpt_path)
+        _as_format_1(ckpt_path)
+        loaded = load_checkpoint(ckpt_path)
+        assert (loaded.step, loaded.config_digest) == (expected.step, expected.config_digest)
+        assert loaded.params.keys() == expected.params.keys()
+        for name, value in expected.params.items():
+            np.testing.assert_array_equal(loaded.params[name], value)
 
 
 def _train_run():
@@ -122,6 +155,12 @@ class TestCliFaults:
     def test_decode_with_corrupt_record_name(self, run_dir, capsys):
         newest = run_dir / "checkpoints" / "step_000004.ckpt"
         _corrupt(newest, NAME_AT, b"\xff")
+        assert self._decode(run_dir) == 1
+        assert str(newest) in capsys.readouterr().err
+
+    def test_decode_with_flipped_payload_byte(self, run_dir, capsys):
+        newest = run_dir / "checkpoints" / "step_000004.ckpt"
+        _flip(newest, PAYLOAD_AT + 5)
         assert self._decode(run_dir) == 1
         assert str(newest) in capsys.readouterr().err
 

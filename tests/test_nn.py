@@ -100,12 +100,7 @@ class TestFusedMultiHeadAttention:
         v = rng.standard_normal((batch, tk, heads * dh))
         mask = _pad_mask(batch, tk)
         out = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), mask, num_heads=heads).data
-        for b in range(batch):
-            keys = mask[b, 0, 0]
-            for h in range(heads):
-                sl = slice(h * dh, (h + 1) * dh)
-                expected = scalar_attention(q[b, :, sl], k[b, keys, sl], v[b, keys, sl])
-                np.testing.assert_allclose(out[b, :, sl], expected, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(out, _scalar_oracle(q, k, v, mask, heads), rtol=1e-10, atol=1e-12)
 
     def test_fully_masked_row_raises(self):
         x = Tensor(np.ones((2, 3, 4)))
@@ -118,6 +113,85 @@ class TestFusedMultiHeadAttention:
         x = Tensor(np.ones((1, 3, 4)))
         with pytest.raises(ShapeError):
             scaled_dot_attention(x, x, x, num_heads=3)
+
+
+def _layout_case(case):
+    """(q, k, v), mask, heads and the keys a float64 reference should use."""
+    rng = np.random.default_rng(40)
+    heads, dh = 2, 3
+    d = heads * dh
+    if case == "rank2":            # no batch axis; a 2-D (Tq, Tk) mask
+        q, k, v = (rng.standard_normal((t, d)) for t in (3, 5, 5))
+        mask = rng.random((3, 5)) > 0.4
+        mask[:, 0] = True
+    elif case == "low_rank_mask":  # a (Tq, Tk) mask against (B, heads, Tq, Tk) scores
+        q, k, v = (rng.standard_normal((2, t, d)) for t in (3, 4, 4))
+        mask = np.tril(np.ones((3, 4), dtype=bool))
+    elif case == "broadcast_kv":   # K, V and mask as forward_step passes them: read-only stride-0 views
+        q = rng.standard_normal((3, 2, d))
+        k, v = (np.broadcast_to(rng.standard_normal((1, 4, d)), (3, 4, d)) for _ in range(2))
+        mask = np.broadcast_to(np.array([[True, True, True, False]]), (3, 4))[:, None, None, :]
+    else:                          # scores about 1e4: a shared key part c, constant along each row
+        q, k, v = (rng.standard_normal((2, t, d)) for t in (3, 4, 4))
+        c = np.zeros(d)
+        c[::dh] = math.sqrt(1e4 * math.sqrt(dh))
+        q[..., ::dh] += c[::dh]
+        mask = _pad_mask(2, 4)
+        return (q, k + c, v), mask, heads, k   # softmax cancels q.c, so k stands in for k + c
+    return (q, k, v), mask, heads, k
+
+
+def _scalar_oracle(q, k, v, mask, heads):
+    """Each (batch, head, query row) through scalar_attention over its visible keys."""
+    dh = q.shape[-1] // heads
+    mask = np.broadcast_to(mask, q.shape[:-2] + (heads, q.shape[-2], k.shape[-2]))
+    out = np.zeros(q.shape)
+    for lead in np.ndindex(q.shape[:-2]):
+        for h in range(heads):
+            sl = slice(h * dh, (h + 1) * dh)
+            for i in range(q.shape[-2]):
+                keys = mask[lead + (h, i)]
+                out[lead + (i, sl)] = scalar_attention(q[lead + (slice(i, i + 1), sl)],
+                                                       k[lead][keys, sl], v[lead][keys, sl])[0]
+    return out
+
+
+LAYOUTS = ["rank2", "low_rank_mask", "broadcast_kv", "large_scores"]
+
+
+class TestAttentionLayouts:
+    """Operand layouts the key-major softmax must handle: ranks, masks, views, dtypes, magnitudes."""
+
+    @pytest.mark.parametrize("case", LAYOUTS)
+    def test_against_scalar_oracle(self, case):
+        (q, k, v), mask, heads, k_ref = _layout_case(case)
+        out = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), mask, num_heads=heads).data
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(out, _scalar_oracle(q, k_ref, v, mask, heads), rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("operand", [0, 1, 2])
+    @pytest.mark.parametrize("case", LAYOUTS)
+    def test_grad_check_each_operand(self, case, operand):
+        operands, mask, heads, _ = _layout_case(case)
+
+        def f(t):
+            args = [Tensor(x) for x in operands]
+            args[operand] = t
+            return scaled_dot_attention(*args, mask=mask, num_heads=heads)
+
+        assert grad_check(f, Tensor(operands[operand])) <= 1e-5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["rank2", "low_rank_mask", "broadcast_kv"])
+    def test_dtype_is_kept(self, case, dtype):
+        (q, k, v), mask, heads, _ = _layout_case(case)
+        operands = [Tensor(x.astype(dtype), requires_grad=True) for x in (q, k, v)]
+        with Tape() as tape:
+            out = scaled_dot_attention(*operands, mask=mask, num_heads=heads)
+            loss = sum_all(out)
+        tape.backward(loss)
+        assert out.dtype == dtype and all(t.grad.dtype == dtype for t in operands)
+        np.testing.assert_allclose(out.data, _scalar_oracle(q, k, v, mask, heads), rtol=1e-6, atol=1e-6)
 
 
 class TestPacking:

@@ -191,6 +191,40 @@ class TestLayerNorm:
         assert out.dtype == np.float32
         np.testing.assert_array_equal(out, expected)
 
+    @pytest.mark.parametrize("operand", ["x", "gamma", "beta"])
+    @pytest.mark.parametrize("shape", [(1,), (64,), (5, 1), (5, 64), (2, 3, 1), (2, 3, 64)])
+    def test_backward_grad_check(self, shape, operand):
+        rng = np.random.default_rng(shape[-1] + len(shape))
+        args = {"x": rng.standard_normal(shape) * 2 + 0.5, "gamma": rng.standard_normal(shape[-1]),
+                "beta": rng.standard_normal(shape[-1])}
+
+        def f(t):
+            tensors = {name: Tensor(value) for name, value in args.items()}
+            tensors[operand] = t
+            return layer_norm(tensors["x"], tensors["gamma"], tensors["beta"], 1e-6)
+
+        assert grad_check(f, Tensor(args[operand])) <= 1e-5
+
+    @pytest.mark.parametrize("shape", [(64,), (5, 64), (2, 5, 64), (7, 48)])
+    def test_float32_dx_near_float64_mean_formula(self, shape):
+        # the backward's row means are GEMVs of 1/d; 1/48 is not exact in float32
+        rng = np.random.default_rng(len(shape))
+        x = (rng.standard_normal(shape) * 3 + 1).astype(np.float32)
+        gamma = rng.standard_normal(shape[-1]).astype(np.float32)
+        g = rng.standard_normal(shape).astype(np.float32)
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            loss = sum_all(mul_elementwise(layer_norm(xt, Tensor(gamma), Tensor(np.zeros_like(gamma)), 1e-6),
+                                           Tensor(g)))
+        tape.backward(loss)
+        x64, dxhat = x.astype(np.float64), g.astype(np.float64) * gamma
+        inv = 1.0 / np.sqrt(x64.var(axis=-1, keepdims=True) + 1e-6)
+        xhat = (x64 - x64.mean(axis=-1, keepdims=True)) * inv
+        expected = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                          - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        assert xt.grad.dtype == np.float32
+        np.testing.assert_allclose(xt.grad, expected, rtol=0, atol=1e-6 * np.abs(expected).max())
+
 
 class TestBackward:
     def test_sum_gives_ones(self):

@@ -59,19 +59,22 @@ def beam_search(model: Seq2SeqModel, source, beam_size: int = 4, alpha: float = 
     for step in range(1, max_len + 1):
         prefixes = np.array([(bos_id,) + h.tokens for h in live], dtype=np.int64)
         logp = forward_step(model, cache, prefixes)   # (n_live, vocab)
-        candidates = []
-        for i, h in enumerate(live):
-            for tok in range(logp.shape[-1]):
-                candidates.append(Hypothesis(
-                    tokens=h.tokens + (tok,),
-                    log_prob=h.log_prob + float(logp[i, tok]),
-                    finished=tok == eos_id,
-                    finish_step=step if tok == eos_id else None,
-                ))
-        candidates.sort(key=lambda h: (-h.log_prob, h.tokens))
-        kept = candidates[:beam_size]
-        live = [h for h in kept if not h.finished]
-        finished.extend(h for h in kept if h.finished)
+        n, vocab = logp.shape
+        # every candidate scored at once (in float64, as adding Python floats would), then
+        # one sort by (-score, tokens): live tuples share a length, so ordering by parent
+        # tuple and then by the new token orders the candidates' token tuples
+        scores = (np.array([h.log_prob for h in live])[:, None] + logp).ravel()
+        parent, tok = np.divmod(np.arange(n * vocab), vocab)
+        rank = np.empty(n, dtype=np.int64)
+        rank[sorted(range(n), key=lambda i: live[i].tokens)] = np.arange(n)
+        kept = np.lexsort((tok, rank[parent], -scores))[:beam_size]
+        parents = live
+        live = []
+        for i in kept.tolist():
+            h, t = parents[i // vocab], i % vocab
+            done = t == eos_id
+            (finished if done else live).append(
+                Hypothesis(h.tokens + (t,), float(scores[i]), done, step if done else None))
         if not live:
             break
 

@@ -212,12 +212,14 @@ class Seq2SeqModel:
 
     # -- forward passes -----------------------------------------------------
 
-    def _embed(self, ids: np.ndarray, pack: Packing, rng) -> Tensor:
-        seq_len = ids.shape[-1]
+    def _check_length(self, seq_len: int) -> None:
         if seq_len > self.config.max_len:
             raise ConfigError(f"sequence length {seq_len} exceeds max_len {self.config.max_len}")
-        x = scale(self.embedding(pack.gather(ids)), math.sqrt(self.config.d_model))
-        x = add(x, Tensor(self.positions[pack.positions]))
+
+    def _embed(self, ids: np.ndarray, positions, rng) -> Tensor:
+        """Scaled token embeddings plus ``positions`` (an index or a slice) of the position table."""
+        x = scale(self.embedding(ids), math.sqrt(self.config.d_model))
+        x = add(x, Tensor(self.positions[positions]))
         return dropout(x, self.config.dropout, rng)
 
     def _aggregate(self, agg, outputs, rng) -> Tensor:
@@ -232,7 +234,8 @@ class Seq2SeqModel:
         visible = src != pad_id                       # (B, S)
         attn_mask = visible[:, None, None, :]         # (B, 1, 1, S)
         pack = pack or Packing(src.shape)
-        x = self._embed(src, pack, rng)
+        self._check_length(src.shape[-1])
+        x = self._embed(pack.gather(src), pack.positions, rng)
         outputs = []
         for layer in self.encoder_layers:
             x = layer(x, attn_mask, rng, pack)
@@ -241,24 +244,34 @@ class Seq2SeqModel:
         return self.encoder_norm(top), visible
 
     def decode(self, tgt_in: np.ndarray, memory: Optional[Tensor], src_visible: np.ndarray,
-               pad_id: int, rng=None, cross_kv=None, packs=None) -> Tensor:
+               pad_id: int, rng=None, cross_kv=None, packs=None, self_kv=None) -> Tensor:
         """Run the decoder with causal+pad masking on the (target, source) ``packs`` (by default
         every slot); returns (B, T, vocab) logits, 0 at left-out slots.  ``cross_kv``, one (keys,
-        values) pair per layer as ``encode_source`` caches them, replaces projecting ``memory``."""
+        values) pair per layer as ``encode_source`` caches them, replaces projecting ``memory``.
+
+        ``self_kv``, one [keys, values] list per layer holding the self-attention keys and values
+        of the first T - 1 positions, makes the call incremental: only position T - 1 runs, on
+        every key of the prefix that is not PAD, each list is extended in place with its keys and
+        values, and the (B, 1, vocab) logits of that position are returned."""
         tgt_in = np.asarray(tgt_in)
-        packs = packs or (Packing(tgt_in.shape), Packing(src_visible.shape))
         t = tgt_in.shape[-1]
-        causal = np.tril(np.ones((t, t), dtype=bool))
-        self_mask = causal[None, None, :, :] & (tgt_in != pad_id)[:, None, None, :]
+        self._check_length(t)
+        self_mask = (tgt_in != pad_id)[:, None, None, :]
+        if self_kv is None:
+            packs = packs or (Packing(tgt_in.shape), Packing(src_visible.shape))
+            self_mask = np.tril(np.ones((t, t), dtype=bool)) & self_mask
+            y = self._embed(packs[0].gather(tgt_in), packs[0].positions, rng)
+        else:
+            y = self._embed(tgt_in[:, t - 1:], slice(t - 1, t), rng)
         cross_mask = src_visible[:, None, None, :]
-        y = self._embed(tgt_in, packs[0], rng)
+        none = [None] * len(self.decoder_layers)
         outputs = []
-        for layer, kv in zip(self.decoder_layers, cross_kv or [None] * len(self.decoder_layers)):
-            y = layer(y, memory, self_mask, cross_mask, rng, kv, packs)
+        for layer, kv, past in zip(self.decoder_layers, cross_kv or none, self_kv or none):
+            y = layer(y, memory, self_mask, cross_mask, rng, kv, packs, past)
             outputs.append(y)
         top = self._aggregate(self.decoder_agg, outputs, rng)
-        y = self.decoder_norm(top)
-        return packs[0].unpack(matmul(y, transpose_last_two(self.embedding.weight)))
+        logits = matmul(self.decoder_norm(top), transpose_last_two(self.embedding.weight))
+        return logits if self_kv is not None else packs[0].unpack(logits)
 
     def forward_train(self, batch, rng=None) -> Tensor:
         """Teacher-forced forward pass on real rows only (non-pad sources; targets with a
@@ -280,10 +293,29 @@ def forward_train(model: Seq2SeqModel, batch, rng=None) -> Tensor:
 
 @dataclass
 class EncodedSource:
-    """What stepwise decoding needs of one source, computed once per sentence."""
+    """What stepwise decoding needs of one source, computed once per sentence, plus the
+    decoder self-attention keys and values of the prefixes of one length.
+
+    ``forward_step`` on length-t prefixes runs only position t - 1 of each, on the keys and
+    values cached for its length t - 1 parent, and then keeps the length-t ones in place of
+    every other length: beam search and the exhaustive oracle extend every prefix by one
+    token per step, so one length is all the next step reads.
+    """
     src_visible: np.ndarray   # (1, S)
     pad_id: int
     cross_kv: list            # per decoder layer: (K, V), each (1, S, d_model)
+    depth: int = field(default=0, init=False)   # length of the prefixes in ``rows``
+    rows: dict = field(default_factory=dict, init=False)     # prefix tuple -> its row in ``self_kv``
+    self_kv: list = field(default_factory=list, init=False)  # per layer: [K, V], each (rows, depth, d_model)
+    # per row count: ``cross_kv`` broadcast to that many rows, as Tensors
+    _cross_rows: dict = field(default_factory=dict, init=False, repr=False)
+
+    def cross_rows(self, n: int) -> list:
+        kv = self._cross_rows.get(n)
+        if kv is None:
+            kv = self._cross_rows[n] = [tuple(Tensor(np.broadcast_to(a, (n,) + a.shape[1:])) for a in pair)
+                                        for pair in self.cross_kv]
+        return kv
 
 
 def encode_source(model: Seq2SeqModel, src, pad_id: int) -> EncodedSource:
@@ -295,21 +327,46 @@ def encode_source(model: Seq2SeqModel, src, pad_id: int) -> EncodedSource:
     return EncodedSource(visible, pad_id, cross_kv)
 
 
+def _extend(model: Seq2SeqModel, cache: EncodedSource, prefixes: np.ndarray, keys: list):
+    """Logits of the last position of each prefix, and every layer's self-attention [keys,
+    values] over the whole prefixes.  Parents missing from ``cache`` are computed first,
+    batched per length; ``cache`` itself is only read."""
+    n, t = prefixes.shape
+    if t == 1:
+        empty = np.empty((n, 0, model.config.d_model), dtype=model.dtype)
+        past = [[empty, empty] for _ in model.decoder_layers]
+    else:
+        rows, kv = (cache.rows, cache.self_kv) if cache.depth == t - 1 else ({}, None)
+        parents = [key[:-1] for key in keys]
+        missing = [p for p in dict.fromkeys(parents) if p not in rows]
+        if missing:
+            _, new_kv = _extend(model, cache, np.array(missing, dtype=prefixes.dtype), missing)
+            rows = {**rows, **{p: len(rows) + i for i, p in enumerate(missing)}}
+            kv = new_kv if kv is None else [[np.concatenate(pair) for pair in zip(old, new)]
+                                            for old, new in zip(kv, new_kv)]
+        index = np.array([rows[p] for p in parents])
+        past = [[k[index], v[index]] for k, v in kv]
+    logits = model.decode(prefixes, None, cache.src_visible, cache.pad_id,
+                          cross_kv=cache.cross_rows(n), self_kv=past)
+    return logits.data[:, 0, :], past
+
+
 def forward_step(model: Seq2SeqModel, source_cache: EncodedSource, prefix_tokens) -> np.ndarray:
     """Next-token log-probabilities for each prefix row.
 
-    Re-runs the decoder over the whole prefix each call, on the cached
-    cross-attention keys and values; with causal masking the last-position
-    logits equal the matching teacher-forced slice.
+    Runs only the newest position of each prefix, on the cached cross-attention keys and
+    values and the self-attention keys and values ``source_cache`` keeps for the parent
+    prefixes; this equals the matching teacher-forced slice up to rounding (its products
+    have fewer rows, so they may round differently).
     """
     prefixes = np.atleast_2d(np.asarray(prefix_tokens))
     if prefixes.shape[-1] < 1:
         raise ValueError("prefix must contain the start symbol")
-    n = prefixes.shape[0]
-    cross_kv = [tuple(Tensor(np.broadcast_to(a, (n,) + a.shape[1:])) for a in kv)
-                for kv in source_cache.cross_kv]
-    visible = np.broadcast_to(source_cache.src_visible, (n, source_cache.src_visible.shape[1]))
-    logits = model.decode(prefixes, None, visible, source_cache.pad_id, cross_kv=cross_kv).data[:, -1, :]
+    model._check_length(prefixes.shape[-1])
+    keys = list(map(tuple, prefixes.tolist()))
+    logits, self_kv = _extend(model, source_cache, prefixes, keys)
+    source_cache.depth, source_cache.self_kv = prefixes.shape[-1], self_kv
+    source_cache.rows = {key: i for i, key in enumerate(keys)}
     zmax = logits.max(axis=-1, keepdims=True)
     logp = logits - zmax - np.log(np.exp(logits - zmax).sum(axis=-1, keepdims=True))
     if np.asarray(prefix_tokens).ndim == 1:

@@ -282,10 +282,18 @@ class DecoderLayer:
         self.dropout_rate = dropout_rate
 
     def __call__(self, x, memory, self_mask, cross_mask, rng=None, cross_kv=None,
-                 packs=None) -> Tensor:
-        """``packs``: the (target, source) packings when x and memory are packed rows."""
+                 packs=None, past_kv=None) -> Tensor:
+        """``packs``: the (target, source) packings when x and memory are packed rows.
+        ``past_kv``: a [keys, values] list of the earlier positions' self-attention keys and
+        values, (n, t - 1, d) arrays; x is then the newest position, (n, 1, d), and the list is
+        extended in place with its keys and values.  This path is untaped (decoding only)."""
         h = self.ln1(x)
-        x = add(x, dropout(self.self_attn(h, h, h, self_mask, packs=packs and (packs[0], packs[0])),
+        kv = None
+        if past_kv is not None:
+            kv = [Tensor(np.concatenate((past, new.data), axis=-2))
+                  for past, new in zip(past_kv, self.self_attn.project_kv(h, h))]
+            past_kv[:] = [a.data for a in kv]
+        x = add(x, dropout(self.self_attn(h, h, h, self_mask, kv, packs=packs and (packs[0], packs[0])),
                            self.dropout_rate, rng))
         h = self.ln2(x)
         x = add(x, dropout(self.cross_attn(h, memory, memory, cross_mask, cross_kv, packs),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from treeformer import decoding
 from treeformer.decoding import beam_search, length_penalty
 from treeformer.model import AggregationSpec, ModelConfig, build, encode_source, forward_step
 from treeformer.tasks import BOS, EOS
@@ -77,6 +78,40 @@ class TestBeamSearch:
         assert result.tokens == tokens
         assert result.finished == finished
         assert result.score == pytest.approx(score, rel=1e-9)
+
+    def test_tied_candidates_kept_in_token_order_across_parents(self, monkeypatch):
+        # step 1 ranks the live hypotheses against their token order; from step 2 every
+        # candidate scores the same, so the kept ones must follow their token tuples
+        # across parents, as a Python sort by (-log_prob, tokens) orders them
+        vocab, beam, max_len = 6, 8, 3
+
+        def tied_step(prefixes):
+            if prefixes.shape[1] == 1:
+                return (np.arange(vocab) * 0.25 - 4.0)[None, :].astype(np.float32)
+            first = prefixes[:, 1] * 0.25 - 4.0
+            offset = -8.0 - first if prefixes.shape[1] == 2 else np.full(len(prefixes), -1.0)
+            return np.repeat(offset[:, None], vocab, axis=1).astype(np.float32)
+
+        seen = []
+        monkeypatch.setattr(decoding, "forward_step",
+                            lambda model, cache, prefixes: seen.append(prefixes.tolist()) or tied_step(prefixes))
+        result = beam_search(None, None, beam_size=beam, alpha=0.0, max_len=max_len, cache=object())
+
+        live, expected, finished = [((), 0.0)], [], []
+        for step in range(1, max_len + 1):
+            prefixes = np.array([(BOS,) + tokens for tokens, _ in live], dtype=np.int64)
+            expected.append(prefixes.tolist())
+            logp = tied_step(prefixes)
+            candidates = sorted(((tokens + (tok,), lp + float(logp[i, tok]))
+                                 for i, (tokens, lp) in enumerate(live) for tok in range(vocab)),
+                                key=lambda c: (-c[1], c[0]))[:beam]
+            live = [c for c in candidates if c[0][-1] != EOS]
+            finished += [c for c in candidates if c[0][-1] == EOS]
+        assert seen == expected
+        assert [row[1] for row in seen[1]] == [5, 4, 3, 1, 0]
+        assert [tuple(row[1:]) for row in seen[2]] == [(0, 0), (0, 1), (0, 3), (0, 4), (0, 5), (1, 0), (1, 1)]
+        best = min(finished, key=lambda c: (-c[1], len(c[0]), c[0]))
+        assert result.tokens == list(best[0][:-1]) and result.score == best[1]
 
     def test_unfinished_flag_when_eos_unreachable(self):
         # scan for a model/seed pair whose greedy path never emits EOS in 2 steps

@@ -5,6 +5,7 @@ import pytest
 
 from treeformer.aggregation import formula_param_count
 from treeformer.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
+from treeformer.decoding import beam_search
 from treeformer.model import (
     AggregationSpec,
     ConfigError,
@@ -246,25 +247,97 @@ class TestForwardStep:
             step_logp = forward_step(model, cache, batch.tgt_in[:, :t])
             np.testing.assert_allclose(step_logp[0], train_logp[0, t - 1], rtol=1e-5, atol=1e-6)
 
+    STEP_SPECS = [AggregationSpec("none", "mean", "both"), AggregationSpec("rtal", "ewp_ffn", "both")]
+
+    @staticmethod
+    def _full_decode_logp(model, src, prefixes):
+        """Log-probabilities of the last position of a full decode re-run, projecting the memory."""
+        memory, visible = model.encode(src, 0)
+        rows = prefixes.shape[0]
+        memory = Tensor(np.broadcast_to(memory.data, (rows,) + memory.shape[1:]))
+        visible = np.broadcast_to(visible, (rows, visible.shape[1]))
+        return np_log_softmax(model.decode(prefixes, memory, visible, 0).data[:, -1, :])
+
+    @staticmethod
+    def _prefixes(rows, length=5):
+        prefixes = np.random.default_rng(rows).integers(3, 9, size=(rows, length))
+        prefixes[:, 0] = 1
+        return prefixes
+
     @pytest.mark.parametrize("rows", [1, 4])
-    @pytest.mark.parametrize("spec", [AggregationSpec("none", "mean", "both"),
-                                      AggregationSpec("rtal", "ewp_ffn", "both")])
+    @pytest.mark.parametrize("spec", STEP_SPECS)
     def test_cached_cross_kv_equals_projecting_memory(self, spec, rows):
+        # the same arithmetic on both paths: the cached cross keys and values, and the first
+        # position, which has no earlier keys to reuse
         model = build(tiny_config(num_layers=4, aggregation=spec))
         src = np.array([[3, 4, 2]])
         cache = encode_source(model, src, 0)
         assert len(cache.cross_kv) == 4
-        assert all(a.shape == (1, 3, 8) for kv in cache.cross_kv for a in kv)
-        memory, visible = model.encode(src, 0)
-        memory = Tensor(np.broadcast_to(memory.data, (rows, 3, 8)))
-        visible = np.broadcast_to(visible, (rows, 3))
-        prefixes = np.random.default_rng(rows).integers(3, 9, size=(rows, 5))
-        prefixes[:, 0] = 1
+        memory, _ = model.encode(src, 0)
+        for layer, kv in zip(model.decoder_layers, cache.cross_kv):
+            for cached, projected in zip(kv, layer.cross_attn.project_kv(memory, memory)):
+                assert cached.shape == (1, 3, 8)
+                np.testing.assert_array_equal(cached, projected.data)
+        prefixes = self._prefixes(rows)[:, :1]
+        np.testing.assert_array_equal(forward_step(model, cache, prefixes),
+                                      self._full_decode_logp(model, src, prefixes))
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("spec", STEP_SPECS)
+    def test_later_positions_match_full_decode(self, spec, rows, dtype, rtol):
+        # a step runs 1-row products where the re-run runs t-row ones, so float32 agrees to
+        # rounding; float64 shows that both paths compute the same function
+        model = build(tiny_config(num_layers=4, aggregation=spec), dtype=dtype)
+        src = np.array([[3, 4, 2]])
+        cache = encode_source(model, src, 0)
+        prefixes = self._prefixes(rows)
         for t in range(1, 6):
-            logits = model.decode(prefixes[:, :t], memory, visible, 0).data[:, -1, :]
-            zmax = logits.max(axis=-1, keepdims=True)
-            expected = logits - zmax - np.log(np.exp(logits - zmax).sum(axis=-1, keepdims=True))
-            np.testing.assert_array_equal(forward_step(model, cache, prefixes[:, :t]), expected)
+            np.testing.assert_allclose(forward_step(model, cache, prefixes[:, :t]),
+                                       self._full_decode_logp(model, src, prefixes[:, :t]), rtol=rtol)
+        assert cache.depth == 5 and len(cache.rows) == rows
+
+    def test_pad_inside_prefix_is_masked_only_as_a_key(self):
+        model = build(tiny_config(num_layers=4, aggregation=self.STEP_SPECS[1]), dtype=np.float64)
+        src = np.array([[3, 4, 2]])
+        cache = encode_source(model, src, 0)
+        prefixes = np.array([[1, 3, 0, 4, 5], [1, 0, 0, 6, 0], [1, 5, 6, 7, 8]])
+        for t in range(1, 6):
+            np.testing.assert_allclose(forward_step(model, cache, prefixes[:, :t]),
+                                       self._full_decode_logp(model, src, prefixes[:, :t]), rtol=1e-12)
+
+    def test_uncached_ancestors_and_shorter_prefixes(self):
+        # a prefix asked for with no cached parent computes its ancestors; a shorter prefix
+        # asked for after longer ones starts over; parents shared by rows are computed once
+        model = build(tiny_config(num_layers=4, aggregation=self.STEP_SPECS[1]), dtype=np.float64)
+        src = np.array([[3, 4, 2]])
+        cache = encode_source(model, src, 0)
+        prefixes = np.array([[1, 3, 4, 5, 6], [1, 3, 4, 5, 7], [1, 8, 4, 5, 6]])
+        for t in (4, 5, 2, 3):
+            np.testing.assert_allclose(forward_step(model, cache, prefixes[:, :t]),
+                                       self._full_decode_logp(model, src, prefixes[:, :t]), rtol=1e-12)
+            assert cache.depth == t and all(len(key) == t for key in cache.rows)
+        # half the parents cached, half not
+        forward_step(model, cache, prefixes[:1, :4])
+        np.testing.assert_allclose(forward_step(model, cache, prefixes),
+                                   self._full_decode_logp(model, src, prefixes), rtol=1e-12)
+
+    def test_one_source_cache_serves_two_beam_searches(self):
+        model = build(tiny_config(num_layers=4, aggregation=self.STEP_SPECS[1]))
+        source = np.array([3, 4, 5, 2])
+        cache = encode_source(model, source, 0)
+        first = beam_search(model, source, beam_size=4, max_len=6, cache=cache)
+        second = beam_search(model, source, beam_size=4, max_len=6, cache=cache)
+        assert first == second
+        assert first == beam_search(model, source, beam_size=4, max_len=6)
+
+    def test_prefix_longer_than_max_len_rejected(self):
+        model = build(tiny_config(max_len=4))
+        cache = encode_source(model, np.array([3, 4, 2]), 0)
+        forward_step(model, cache, np.array([1, 3, 4, 5]))
+        with pytest.raises(ConfigError):
+            forward_step(model, cache, np.array([1, 3, 4, 5, 6]))
 
     def test_empty_prefix_rejected(self):
         model = build(tiny_config())

@@ -22,7 +22,7 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .nn import FeedForward, LayerNorm, NamedParams, dropout
+from .nn import FeedForward, LayerNorm, Module, NamedParams, dropout
 from .tensor import (
     ShapeError,
     Tensor,
@@ -54,14 +54,11 @@ def input_span(structure: str, num_layers: int) -> int:
     return tree_span(num_layers) if structure in TREES else num_layers
 
 
-class MeanFormula:
+class MeanFormula(Module):
     """Parameter-free elementwise average of the two inputs."""
 
     def apply(self, a: Tensor, b: Tensor, rng=None) -> Tensor:
         return scale(add(a, b), 0.5)
-
-    def named_parameters(self, prefix: str) -> NamedParams:
-        return iter(())
 
 
 class ConcatFfnFormula(FeedForward):
@@ -89,11 +86,6 @@ class EwpFfnFormula(FeedForward):
     def apply(self, a: Tensor, b: Tensor, rng=None) -> Tensor:
         s = mul_elementwise(add(a, b), self.beta)
         return add(dropout(self(self.norm(s)), self.dropout_rate, rng), s)
-
-    def named_parameters(self, prefix: str) -> NamedParams:
-        yield from self.norm.named_parameters(f"{prefix}.norm")
-        yield from super().named_parameters(prefix)
-        yield f"{prefix}.beta", self.beta
 
 
 def make_formula(kind, d_model, inner_dim, dropout_rate, ln_eps, rng, dtype=np.float32):
@@ -143,7 +135,7 @@ def balanced_pairs(num_inputs: int) -> List[Tuple[int, int]]:
     return pairs
 
 
-class TreeAggregator:
+class TreeAggregator(Module):
     """Binary fusion graph over ordered inputs, evaluated from a post-order plan.
 
     Inputs fill slots 0..n-1 and node i writes slot n+i; the last slot is
@@ -189,7 +181,7 @@ class TreeAggregator:
             yield from node.formula.named_parameters(f"{prefix}.{self.param_group}.{i}")
 
 
-class LinearCombination:
+class LinearCombination(Module):
     """Softmax-normalized scalar weight per layer; weights start at zero."""
 
     def __init__(self, num_inputs: int, rng=None, dtype=np.float32):
@@ -208,9 +200,6 @@ class LinearCombination:
         stacked = reduce(concat_last_dim, columns)  # (..., d, L)
         coeffs = reshape(softmax_last_dim(self.weights), (self.num_inputs, 1))
         return reshape(matmul(stacked, coeffs), out_shape)
-
-    def named_parameters(self, prefix: str) -> NamedParams:
-        yield f"{prefix}.weights", self.weights
 
 
 class IterativeCombination(TreeAggregator):

@@ -31,7 +31,7 @@ from .model import (
     from_section,
     param_report,
 )
-from .tasks import EOS, SyntheticTask
+from .tasks import EOS, N_SPECIAL, SyntheticTask
 from .tensor import NumericalError
 from .training import TrainingSpec, averaged_model_checkpoint, evaluate_model, train
 
@@ -178,9 +178,28 @@ def cmd_params(args) -> int:
     return 0
 
 
+def _source(line: str, where: str, config: ModelConfig):
+    """One line of a decode input as an EOS-terminated source, None for a blank line.  Every
+    token must be a symbol id in [N_SPECIAL, vocab_size) and the source plus EOS must fit
+    max_len; otherwise ``ConfigError`` names ``where`` (the file and line)."""
+    try:
+        tokens = [int(t) for t in line.split()]
+    except ValueError:
+        raise ConfigError(f"{where}: tokens must be integers, got {line.strip()!r}") from None
+    bad = [t for t in tokens if not N_SPECIAL <= t < config.vocab_size]
+    if bad:
+        raise ConfigError(f"{where}: token {bad[0]} is not a symbol id in [{N_SPECIAL}, {config.vocab_size})")
+    if len(tokens) + 1 > config.max_len:
+        raise ConfigError(f"{where}: {len(tokens)} tokens plus EOS exceed max_len {config.max_len}")
+    return np.array(tokens + [EOS], dtype=np.int64) if tokens else None
+
+
 def cmd_decode(args) -> int:
     run_dir = Path(args.run_dir)
     config = load_experiment(run_dir / "config.json")
+    with open(args.input) as fh:   # every line is checked before any is decoded
+        sources = [_source(line, f"{args.input} line {number}", config.model)
+                   for number, line in enumerate(fh, 1)]
     model = build(config.model)
     ckpt = averaged_model_checkpoint(run_dir, args.last_k, strict=False,
                                      digest=config_digest(config.model))
@@ -188,17 +207,13 @@ def cmd_decode(args) -> int:
     max_len = args.max_len or min(config.model.max_len, config.task.max_len + 2)
 
     out_path = Path(args.output) if args.output else Path(args.input).with_suffix(".decoded")
-    with open(args.input) as fh, open(out_path, "w") as out:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                out.write("\n")
-                continue
-            tokens = [int(t) for t in line.split()]
-            source = np.array(tokens + [EOS], dtype=np.int64)
-            result = beam_search(model, source, beam_size=args.beam, alpha=args.alpha,
-                                 max_len=max_len)
-            out.write(" ".join(str(t) for t in result.tokens) + "\n")
+    with open(out_path, "w") as out:
+        for source in sources:
+            if source is not None:
+                result = beam_search(model, source, beam_size=args.beam, alpha=args.alpha,
+                                     max_len=max_len)
+                out.write(" ".join(str(t) for t in result.tokens))
+            out.write("\n")
     print(f"decoded to {out_path}")
     return 0
 

@@ -1,6 +1,7 @@
 """Transformer building blocks on the tape-autodiff tensor core.
 
-Layers are plain parameter-holding objects; evaluation is a method call.
+Layers are ``Module``s that hold their parameters as attributes; evaluation
+is a method call.
 Passing an ``rng`` enables dropout (training mode); ``rng=None`` evaluates
 deterministically with dropout disabled.
 """
@@ -33,7 +34,23 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -
     return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
 
 
-class Linear:
+class Module:
+    """A layer: its parameters are its trainable Tensor attributes and those of its sub-layers,
+    named by attribute path.  Other attributes (None, numbers, arrays) are skipped.
+
+    Attribute assignment order is the order of parameters, of Adam's moments and of checkpoint
+    records; tests/test_param_layout.py pins it, so a layer must keep assigning in that order.
+    """
+
+    def named_parameters(self, prefix: str) -> NamedParams:
+        for attr, value in vars(self).items():
+            if isinstance(value, Module):
+                yield from value.named_parameters(f"{prefix}.{attr}")
+            elif isinstance(value, Tensor) and value.requires_grad:
+                yield f"{prefix}.{attr}", value
+
+
+class Linear(Module):
     """Affine map over the last axis: x @ weight (+ bias)."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, dtype=np.float32,
@@ -44,13 +61,8 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return matmul(x, self.weight, self.bias)
 
-    def named_parameters(self, prefix: str) -> NamedParams:
-        yield f"{prefix}.weight", self.weight
-        if self.bias is not None:
-            yield f"{prefix}.bias", self.bias
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, dim: int, eps: float = 1e-6, dtype=np.float32):
         self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
@@ -59,12 +71,8 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta, self.eps)
 
-    def named_parameters(self, prefix: str) -> NamedParams:
-        yield f"{prefix}.gamma", self.gamma
-        yield f"{prefix}.beta", self.beta
 
-
-class FeedForward:
+class FeedForward(Module):
     """Position-wise two-layer network with a ReLU in between, from ``in_dim``
     (default ``d_model``) through ``d_ff`` to ``d_model``."""
 
@@ -75,10 +83,6 @@ class FeedForward:
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.lin2(relu(self.lin1(x)))
-
-    def named_parameters(self, prefix: str) -> NamedParams:
-        yield from self.lin1.named_parameters(f"{prefix}.lin1")
-        yield from self.lin2.named_parameters(f"{prefix}.lin2")
 
 
 def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
@@ -192,7 +196,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None, num_heads: 
     return record_op(qp.gather(merge(p @ vh)), (q, k, v), rule)
 
 
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Project into per-head subspaces, attend in parallel, merge and project."""
 
     def __init__(self, d_model: int, num_heads: int, rng: np.random.Generator, dtype=np.float32):
@@ -216,22 +220,13 @@ class MultiHeadAttention:
         k, v = self.project_kv(k_in, v_in) if kv is None else kv
         return self.out_proj(scaled_dot_attention(q, k, v, mask, self.num_heads, packs))
 
-    def named_parameters(self, prefix: str) -> NamedParams:
-        yield from self.q_proj.named_parameters(f"{prefix}.q_proj")
-        yield from self.k_proj.named_parameters(f"{prefix}.k_proj")
-        yield from self.v_proj.named_parameters(f"{prefix}.v_proj")
-        yield from self.out_proj.named_parameters(f"{prefix}.out_proj")
 
-
-class Embedding:
+class Embedding(Module):
     def __init__(self, vocab_size: int, d_model: int, rng: np.random.Generator, dtype=np.float32):
         self.weight = Tensor(glorot_uniform(rng, vocab_size, d_model, dtype), requires_grad=True)
 
     def __call__(self, ids) -> Tensor:
         return embedding_lookup(self.weight, ids)
-
-    def named_parameters(self, prefix: str) -> NamedParams:
-        yield f"{prefix}.weight", self.weight
 
 
 def sinusoidal_positions(max_len: int, d_model: int) -> np.ndarray:
@@ -244,7 +239,7 @@ def sinusoidal_positions(max_len: int, d_model: int) -> np.ndarray:
     return table
 
 
-class EncoderLayer:
+class EncoderLayer(Module):
     """Pre-norm residual block: self-attention then position-wise FFN."""
 
     def __init__(self, d_model, num_heads, d_ff, dropout_rate, ln_eps, rng, dtype=np.float32):
@@ -262,14 +257,8 @@ class EncoderLayer:
         x = add(x, dropout(self.ffn(self.ln2(x)), self.dropout_rate, rng))
         return x
 
-    def named_parameters(self, prefix: str) -> NamedParams:
-        yield from self.ln1.named_parameters(f"{prefix}.ln1")
-        yield from self.self_attn.named_parameters(f"{prefix}.self_attn")
-        yield from self.ln2.named_parameters(f"{prefix}.ln2")
-        yield from self.ffn.named_parameters(f"{prefix}.ffn")
 
-
-class DecoderLayer:
+class DecoderLayer(Module):
     """Pre-norm residual block: causal self-attention, cross-attention, FFN."""
 
     def __init__(self, d_model, num_heads, d_ff, dropout_rate, ln_eps, rng, dtype=np.float32):
@@ -300,14 +289,6 @@ class DecoderLayer:
                            self.dropout_rate, rng))
         x = add(x, dropout(self.ffn(self.ln3(x)), self.dropout_rate, rng))
         return x
-
-    def named_parameters(self, prefix: str) -> NamedParams:
-        yield from self.ln1.named_parameters(f"{prefix}.ln1")
-        yield from self.self_attn.named_parameters(f"{prefix}.self_attn")
-        yield from self.ln2.named_parameters(f"{prefix}.ln2")
-        yield from self.cross_attn.named_parameters(f"{prefix}.cross_attn")
-        yield from self.ln3.named_parameters(f"{prefix}.ln3")
-        yield from self.ffn.named_parameters(f"{prefix}.ffn")
 
 
 def label_smoothed_ce(logits: Tensor, targets, eps_ls: float, pad_id: int) -> Tensor:

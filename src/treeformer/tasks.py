@@ -9,6 +9,7 @@ requested one.
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -21,6 +22,7 @@ N_SPECIAL = 3
 KINDS = ("copy", "reverse", "sort")
 _SPLIT_BUCKETS = 20   # test: bucket 0, valid: bucket 1, train: the rest
 _SPLITS = ("train", "valid", "test")
+_DRAWS_BEFORE_CHECK = 1000   # rejections in a row before sample_pair asks whether the split is reachable
 
 
 @dataclass(frozen=True)
@@ -60,11 +62,20 @@ class SyntheticTask:
         """Draw one (source, target) pair belonging to ``split``."""
         if split not in _SPLITS:
             raise ValueError(f"split must be one of {_SPLITS}, got {split!r}")
-        while True:
+        for draws in itertools.count(1):
             length = int(rng.integers(self.min_len, self.max_len + 1))
             src = tuple(int(t) for t in rng.integers(N_SPECIAL, self.vocab_size, size=length))
             if self.split_of(src) == split:
                 return src, self.target_for(src)
+            if draws % _DRAWS_BEFORE_CHECK == 0 and not _reachable(self, split):
+                raise ValueError(f"{self} has no source in the {split!r} split")
+
+
+def _reachable(task: SyntheticTask, split: str) -> bool:
+    """Whether any source of ``task`` falls in ``split``.  The search stops at the first such
+    source, which comes within a few dozen in all but a tiny source space."""
+    return any(task.split_of(src) == split for length in range(task.min_len, task.max_len + 1)
+               for src in itertools.product(range(N_SPECIAL, task.vocab_size), repeat=length))
 
 
 def generate_task(task: SyntheticTask, split: str, count: int, seed=None) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:

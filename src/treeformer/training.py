@@ -151,12 +151,11 @@ def _load_matching(path, digest: Optional[bytes]) -> Checkpoint:
 
 def _save_state(ckpt_dir: Path, model: Seq2SeqModel, state: AdamState, step: int, digest: bytes) -> Path:
     # the moments go first: resume picks the newest .ckpt, so every .ckpt
-    # on disk must already have its .optim when a crash cuts the pair
-    moments = {}
-    for name in state.m:
-        moments[f"m.{name}"] = state.m[name]
-        moments[f"v.{name}"] = state.v[name]
-    save_checkpoint(_optim_path(ckpt_dir, step), Checkpoint(params=moments, step=step, config_digest=digest))
+    # on disk must already have its .optim when a crash cuts the pair.  Step 0
+    # has none: its moments are the zeros resume rebuilds with adam_init.
+    if step:
+        moments = {f"{kind}.{name}": getattr(state, kind)[name] for name in state.m for kind in "mv"}
+        save_checkpoint(_optim_path(ckpt_dir, step), Checkpoint(params=moments, step=step, config_digest=digest))
     path = _checkpoint_path(ckpt_dir, step)
     save_checkpoint(path, Checkpoint(params=model.state_dict(), step=step, config_digest=digest))
     return path
@@ -197,6 +196,7 @@ def train(model: Seq2SeqModel, task: SyntheticTask, spec: TrainingSpec, out_dir,
     digest = config_digest(model.config)
     params = model.parameters()
 
+    state = adam_init(params)
     start_step = 0
     if resume:
         existing = list_checkpoints(ckpt_dir)
@@ -204,16 +204,15 @@ def train(model: Seq2SeqModel, task: SyntheticTask, spec: TrainingSpec, out_dir,
             raise FileNotFoundError(f"no checkpoints to resume from in {ckpt_dir}")
         ckpt = _load_matching(existing[-1], digest)
         model.load_state(ckpt.params)
-        optim = _load_matching(_optim_path(ckpt_dir, ckpt.step), digest)
-        state = adam_init(params)
-        state.step = ckpt.step
-        for name in params:
-            state.m[name] = optim.params[f"m.{name}"].astype(model.dtype)
-            state.v[name] = optim.params[f"v.{name}"].astype(model.dtype)
+        if ckpt.step:
+            optim = _load_matching(_optim_path(ckpt_dir, ckpt.step), digest)
+            state.step = ckpt.step
+            for name in params:
+                state.m[name] = optim.params[f"m.{name}"].astype(model.dtype)
+                state.v[name] = optim.params[f"v.{name}"].astype(model.dtype)
         start_step = ckpt.step
         kept = _metrics_up_to(metrics_path, start_step)
     else:
-        state = adam_init(params)
         _save_state(ckpt_dir, model, state, 0, digest)
         kept = []
 

@@ -107,6 +107,13 @@ class TestTrain:
         assert main(["train", "/nonexistent/exp.json"]) == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_task_without_train_sources_exit_one(self, tmp_path, capsys):
+        # one symbol and one length: the only source, (3,) * 13, falls in the valid split
+        cfg = write_config(tmp_path / "exp.json", **{
+            "model.vocab_size": 4, "task.vocab_size": 4, "task.min_len": 13, "task.max_len": 13})
+        assert main(["train", str(cfg)]) == 1
+        assert "no source in the 'train' split" in capsys.readouterr().err
+
     def test_set_override_applies(self, tmp_path):
         cfg = write_config(tmp_path / "exp.json")
         out = tmp_path / "override"
@@ -194,6 +201,32 @@ class TestDecodeAverage:
         assert main(["decode", str(run_dir), str(inputs), "--output", str(tmp_path / "e.out")]) == 1
         err = capsys.readouterr().err
         assert str(newest) in err and "truncated" in err
+
+
+    # the run's model has vocab_size 12 and max_len 24
+    @pytest.mark.parametrize("line,reason", [
+        ("3 12 5", "token 12 is not a symbol id in [3, 12)"),
+        ("3 0 5", "token 0 is not a symbol id"),      # PAD
+        ("3 -4", "token -4 is not a symbol id"),
+        ("3 x 5", "tokens must be integers, got '3 x 5'"),
+        ("4.0", "tokens must be integers"),
+        (" ".join(["3"] * 24), "24 tokens plus EOS exceed max_len 24"),
+    ], ids=["vocab_size", "pad", "negative", "word", "float", "too_long"])
+    def test_decode_rejects_bad_line_naming_file_and_line(self, run_dir, tmp_path, capsys, line, reason):
+        inputs = tmp_path / "inputs.txt"
+        inputs.write_text(f"3 4 5\n\n{line}\n6 7\n")
+        out = tmp_path / "bad.out"
+        assert main(["decode", str(run_dir), str(inputs), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{inputs} line 3: {reason}" in err
+        assert not out.exists()   # nothing is decoded before every line is checked
+
+    def test_decode_accepts_the_largest_symbol_and_longest_source(self, run_dir, tmp_path):
+        inputs = tmp_path / "inputs.txt"
+        inputs.write_text("11 3\n" + " ".join(["3"] * 23) + "\n")
+        out = tmp_path / "edge.out"
+        assert main(["decode", str(run_dir), str(inputs), "--beam", "1", "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
 
 
 class TestAblate:

@@ -16,10 +16,22 @@ import pytest
 from treeformer.model import AggregationSpec, ModelConfig, build
 
 
-def tiny_model(structure: str, formula: str):
+def tiny_model(structure: str, formula: str, position: str = "both", num_layers: int = 3):
     # agg_inner_dim differs from d_model, so an FFN built with the wrong width shows
-    return build(ModelConfig(num_layers=3, d_model=4, num_heads=2, d_ff=8, vocab_size=8, max_len=8,
-                             agg_inner_dim=6, aggregation=AggregationSpec(structure, formula, "both")))
+    return build(ModelConfig(num_layers=num_layers, d_model=4, num_heads=2, d_ff=8, vocab_size=8,
+                             max_len=8, agg_inner_dim=6,
+                             aggregation=AggregationSpec(structure, formula, position)))
+
+
+def layout_and_state_sha(model):
+    """The (name, shape) layout, and the sha256 of the layout text and of the initial state."""
+    layout = [(name, tuple(p.data.shape)) for name, p in model.named_parameters()]
+    text = "".join(f"{name} {list(shape)}\n" for name, shape in layout)
+    state = hashlib.sha256()
+    for name, value in model.state_dict().items():
+        state.update(name.encode())
+        state.update(np.ascontiguousarray(value).tobytes())
+    return layout, hashlib.sha256(text.encode()).hexdigest(), state.hexdigest()
 
 
 def ffn(prefix, in_dim):
@@ -69,17 +81,42 @@ PINNED = {
 @pytest.mark.parametrize("structure,formula", sorted(PINNED))
 def test_parameter_layout_and_initial_state_are_pinned(structure, formula):
     agg_layout, count, layout_sha, state_sha = PINNED[(structure, formula)]
-    model = tiny_model(structure, formula)
-    layout = [(name, tuple(p.data.shape)) for name, p in model.named_parameters()]
+    layout, layout_digest, state_digest = layout_and_state_sha(tiny_model(structure, formula))
     assert [entry for entry in layout if entry[0].startswith("encoder.agg")] == agg_layout
     decoder_agg = [(name.replace("decoder.", "encoder.", 1), shape)
                    for name, shape in layout if name.startswith("decoder.agg")]
     assert decoder_agg == agg_layout
     assert len(layout) == count
-    text = "".join(f"{name} {list(shape)}\n" for name, shape in layout)
-    assert hashlib.sha256(text.encode()).hexdigest() == layout_sha
-    state = hashlib.sha256()
-    for name, value in model.state_dict().items():
-        state.update(name.encode())
-        state.update(np.ascontiguousarray(value).tobytes())
-    assert state.hexdigest() == state_sha
+    assert layout_digest == layout_sha
+    assert state_digest == state_sha
+
+
+# Layouts the table above leaves out: a tree without residuals over more than
+# one node, and an aggregator on one stack only, where the other stack's
+# names must not shift.  Recorded before the layers named their parameters
+# through ``nn.Module``.
+# (structure, formula, position, num_layers): (every aggregator layout, parameter count,
+#                                               sha256 of the whole layout, sha256 of the initial state)
+PINNED_MORE = {
+    ("cnn_tree", "ewp_ffn", "both", 4): (
+        [entry for stack in ("encoder", "decoder") for i in range(3)
+         for entry in ewp(f"{stack}.agg.nodes.{i}")], 203,
+        "f82402a4c724bd6a2c0fd856c9580177db117a66c5b16ba8c704835726336fd6",
+        "a33f77156e1f8c3ad3cd798c21ab6f8a88625a9a41343f7c3972918b538742b7"),
+    ("rtal", "ewp_ffn", "encoder", 3): (
+        ewp("encoder.agg.nodes.0"), 129,
+        "98d1a0ed5f60855312f99b7b71e5b37229099340154050898c826978b2200568",
+        "4ff3802d991f73210e9b8d6958bbb0056af2199aa790f6be3b8227ac2e0f92e0"),
+    ("rtal", "ewp_ffn", "decoder", 3): (
+        ewp("decoder.agg.nodes.0"), 129,
+        "f41a78c11db3ac57d273e2e8d3cbfd4724c9fc5ce3e7b5d2f8aa841dc1745ca2",
+        "c4f767e4e9ab65b511dbb1aa6d132bcaf6d4cba21148a2cee3005dca33c89c15"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_MORE), ids=lambda key: "-".join(map(str, key)))
+def test_more_layouts_and_initial_states_are_pinned(key):
+    agg_layout, count, layout_sha, state_sha = PINNED_MORE[key]
+    layout, layout_digest, state_digest = layout_and_state_sha(tiny_model(*key))
+    assert [entry for entry in layout if ".agg." in entry[0]] == agg_layout
+    assert (len(layout), layout_digest, state_digest) == (count, layout_sha, state_sha)

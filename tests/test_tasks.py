@@ -1,9 +1,29 @@
 """Synthetic task generation, split discipline, batch layout."""
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from treeformer import tasks
 from treeformer.tasks import BOS, EOS, PAD, Batch, SyntheticTask, generate_task, make_batch, sample_batch
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in the block after ``seconds``, so a sampling loop that never ends
+    fails the test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestGeneration:
@@ -37,6 +57,25 @@ class TestGeneration:
         for src, _ in generate_task(task, "train", 100):
             assert 4 <= len(src) <= 6
             assert all(3 <= t < 16 for t in src)
+
+    def test_split_without_sources_raises(self):
+        # one symbol, lengths 1..2: both sources, (3,) and (3, 3), fall in the train split
+        task = SyntheticTask(vocab_size=4, min_len=1, max_len=2)
+        with deadline(20), pytest.raises(ValueError, match=r"SyntheticTask\(.*max_len=2.*'valid' split"):
+            generate_task(task, "valid", 1)
+        assert generate_task(task, "train", 2) == [((3, 3), (3, 3))] * 2
+
+    def test_batch_from_split_without_sources_raises(self):
+        # the one source, (3,) * 13, falls in the valid split
+        task = SyntheticTask(vocab_size=4, min_len=13, max_len=13)
+        with deadline(20), pytest.raises(ValueError, match="'train' split"):
+            sample_batch(task, "train", 64, np.random.default_rng(0))
+
+    def test_reachability_check_leaves_draws_unchanged(self, monkeypatch):
+        task = SyntheticTask(kind="copy", vocab_size=6, min_len=1, max_len=3, seed=5)
+        expected = generate_task(task, "valid", 30)
+        monkeypatch.setattr(tasks, "_DRAWS_BEFORE_CHECK", 1)
+        assert generate_task(task, "valid", 30) == expected
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError):

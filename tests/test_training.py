@@ -314,6 +314,40 @@ class TestTrainLoop:
         assert strip_wall(read_metrics(uninterrupted.metrics_path)) == \
             strip_wall(read_metrics(resumed.metrics_path))
 
+    def test_zero_step_run_writes_no_optimizer_state(self, tmp_path):
+        config, task = _toy_setup()
+        train(build(config), task, TrainingSpec(steps=0), tmp_path, seed=0)
+        assert sorted(p.name for p in (tmp_path / "checkpoints").iterdir()) == ["step_000000.ckpt"]
+
+    def test_crash_in_first_pair_resumes_from_step_0(self, tmp_path, monkeypatch):
+        # step 0 has no .optim: resume rebuilds its all-zero moments with adam_init
+        config, task = _toy_setup(structure="rtal", formula="ewp_ffn")
+        spec = TrainingSpec(steps=4, batch_tokens=64, checkpoint_every=2)
+        uninterrupted = train(build(config), task, spec, tmp_path / "full", seed=3)
+
+        save = training.save_checkpoint
+
+        def crash_at_step_2(path, ckpt):
+            if str(path).endswith("step_000002.optim"):
+                raise OSError(f"simulated crash writing {path}")
+            save(path, ckpt)
+
+        split = tmp_path / "split"
+        monkeypatch.setattr(training, "save_checkpoint", crash_at_step_2)
+        with pytest.raises(OSError, match="simulated crash"):
+            train(build(config), task, spec, split, seed=3)
+        monkeypatch.undo()
+        assert sorted(p.name for p in (split / "checkpoints").iterdir()) == ["step_000000.ckpt"]
+        resumed = train(build(config), task, spec, split, seed=3, resume=True)
+
+        final_a = load_checkpoint(uninterrupted.checkpoints[-1])
+        final_b = load_checkpoint(resumed.checkpoints[-1])
+        assert final_a.step == final_b.step == 4
+        for name in final_a.params:
+            np.testing.assert_array_equal(final_a.params[name], final_b.params[name])
+        assert strip_wall(read_metrics(uninterrupted.metrics_path)) == \
+            strip_wall(read_metrics(resumed.metrics_path))
+
     def test_resume_rejects_other_config(self, tmp_path):
         config, task = _toy_setup()
         train(build(config), task, TrainingSpec(steps=2, batch_tokens=64), tmp_path, seed=0)

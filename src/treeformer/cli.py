@@ -27,6 +27,7 @@ from .model import (
     ModelConfig,
     aggregated_span,
     build,
+    check_type,
     config_digest,
     from_section,
     param_report,
@@ -85,18 +86,12 @@ def load_experiment(path, overrides=()) -> ExperimentConfig:
         raise ConfigError("experiment config must be a JSON object")
     for key, value in overrides:
         _apply_override(raw, key, value)
-    seed = int(raw.get("seed", 0))
-    try:
-        config = from_section(ExperimentConfig, {
-            **raw,
-            "model": ModelConfig.from_dict(_with_seed(raw.get("model", {}), seed)),
-            "task": from_section(SyntheticTask, _with_seed(raw.get("task", {}), seed), "task"),
-            "training": from_section(TrainingSpec, raw.get("training", {}), "training"),
-            "out_dir": str(raw.get("out_dir", "runs/run")),
-            "seed": seed,
-        }, "experiment")
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    seed = check_type(raw.get("seed", 0), 0, "seed")
+    config = from_section(ExperimentConfig, {
+        **raw,
+        "model": _with_seed(raw.get("model", {}), seed),
+        "task": _with_seed(raw.get("task", {}), seed),
+    })
     config.validate()
     return config
 
@@ -197,6 +192,10 @@ def _source(line: str, where: str, config: ModelConfig):
 def cmd_decode(args) -> int:
     run_dir = Path(args.run_dir)
     config = load_experiment(run_dir / "config.json")
+    limit = config.model.max_len
+    max_len = min(limit, config.task.max_len + 2) if args.max_len is None else args.max_len
+    if not 1 <= max_len <= limit:
+        raise ConfigError(f"--max-len must be in [1, {limit}] (the model's max_len), got {max_len}")
     with open(args.input) as fh:   # every line is checked before any is decoded
         sources = [_source(line, f"{args.input} line {number}", config.model)
                    for number, line in enumerate(fh, 1)]
@@ -204,7 +203,6 @@ def cmd_decode(args) -> int:
     ckpt = averaged_model_checkpoint(run_dir, args.last_k, strict=False,
                                      digest=config_digest(config.model))
     model.load_state(ckpt.params)
-    max_len = args.max_len or min(config.model.max_len, config.task.max_len + 2)
 
     out_path = Path(args.output) if args.output else Path(args.input).with_suffix(".decoded")
     with open(out_path, "w") as out:
@@ -221,10 +219,7 @@ def cmd_decode(args) -> int:
 def cmd_average(args) -> int:
     run_dir = Path(args.run_dir)
     n_available = len(list_checkpoints(run_dir / "checkpoints"))
-    try:
-        ckpt = averaged_model_checkpoint(run_dir, args.k, strict=True)
-    except (FileNotFoundError, ValueError) as exc:
-        raise ConfigError(str(exc))
+    ckpt = averaged_model_checkpoint(run_dir, args.k, strict=True)
     out_path = Path(args.output) if args.output else run_dir / f"averaged_last{args.k}.ckpt"
     save_checkpoint(out_path, ckpt)
     print(f"averaged last {args.k} of {n_available} checkpoints -> {out_path}")

@@ -45,19 +45,18 @@ def _normalized(h: Hypothesis, alpha: float, max_len: int) -> float:
 
 
 def beam_search(model: Seq2SeqModel, source, beam_size: int = 4, alpha: float = 0.6,
-                max_len: int = 32, pad_id: int = PAD, bos_id: int = BOS,
-                eos_id: int = EOS, cache: Optional[EncodedSource] = None) -> BeamResult:
+                max_len: int = 32, cache: Optional[EncodedSource] = None) -> BeamResult:
     if beam_size < 1:
         raise ValueError(f"beam_size must be >= 1, got {beam_size}")
     if alpha < 0:
         raise ValueError(f"length penalty alpha must be >= 0, got {alpha}")
     if cache is None:
-        cache = encode_source(model, source, pad_id)
+        cache = encode_source(model, source, PAD)
 
     live: List[Hypothesis] = [Hypothesis(tokens=(), log_prob=0.0, finished=False)]
     finished: List[Hypothesis] = []
     for step in range(1, max_len + 1):
-        prefixes = np.array([(bos_id,) + h.tokens for h in live], dtype=np.int64)
+        prefixes = np.array([(BOS,) + h.tokens for h in live], dtype=np.int64)
         logp = forward_step(model, cache, prefixes)   # (n_live, vocab)
         n, vocab = logp.shape
         # every candidate scored at once (in float64, as adding Python floats would), then
@@ -72,7 +71,7 @@ def beam_search(model: Seq2SeqModel, source, beam_size: int = 4, alpha: float = 
         live = []
         for i in kept.tolist():
             h, t = parents[i // vocab], i % vocab
-            done = t == eos_id
+            done = t == EOS
             (finished if done else live).append(
                 Hypothesis(h.tokens + (t,), float(scores[i]), done, step if done else None))
         if not live:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
@@ -40,14 +40,38 @@ POSITIONS = ("encoder", "decoder", "both")
 AXES = {"structure": aggregation.STRUCTURES, "formula": aggregation.FORMULAS, "position": POSITIONS}
 
 
-def from_section(cls, raw, name: str):
-    """Build the dataclass ``cls`` from the config section ``raw``, rejecting unknown fields."""
+# what a config value may be, by the type of its field's default (None: ``agg_inner_dim``)
+_ACCEPTED = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string"),
+             type(None): ((int, type(None)), "an integer or null")}
+
+
+def check_type(value, default, name: str):
+    """``value`` if the field ``name``, whose default is ``default``, accepts it (a bool is
+    never a number); otherwise ``ConfigError`` names the field."""
+    accepted, kind = _ACCEPTED[type(default)]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
+def from_section(cls, raw, name: str = ""):
+    """Build the dataclass ``cls`` from the config section ``raw`` at the dotted path ``name``
+    ("" for a whole experiment).  Unknown fields and values of the wrong type (``check_type``)
+    are a ``ConfigError``; a nested dataclass field is built from its own section."""
+    prefix = f"{name}." if name else ""
     if not isinstance(raw, dict):
         raise ConfigError(f"section {name!r} must be an object")
-    unknown = set(raw) - {f.name for f in fields(cls)}
+    unknown = sorted(prefix + key for key in set(raw) - {f.name for f in fields(cls)})
     if unknown:
-        raise ConfigError(f"unknown {name} field(s): {sorted(unknown)}")
-    return cls(**raw)
+        raise ConfigError(f"unknown field(s): {unknown}")
+    values = {}
+    for f in fields(cls):
+        if f.name in raw:
+            default = f.default_factory() if f.default is MISSING else f.default
+            value, where = raw[f.name], prefix + f.name
+            values[f.name] = (from_section(type(default), value, where) if is_dataclass(default)
+                              else check_type(value, default, where))
+    return cls(**values)
 
 
 @dataclass
@@ -115,8 +139,6 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
-        if isinstance(raw, dict) and isinstance(raw.get("aggregation"), dict):
-            raw = {**raw, "aggregation": from_section(AggregationSpec, raw["aggregation"], "aggregation")}
         return from_section(cls, raw, "model")
 
 
@@ -299,7 +321,8 @@ class EncodedSource:
     ``forward_step`` on length-t prefixes runs only position t - 1 of each, on the keys and
     values cached for its length t - 1 parent, and then keeps the length-t ones in place of
     every other length: beam search and the exhaustive oracle extend every prefix by one
-    token per step, so one length is all the next step reads.
+    token per step, so one length is all the next step reads.  If any parent is not cached,
+    the step rebuilds every row from position 1 instead.
     """
     src_visible: np.ndarray   # (1, S)
     pad_id: int
@@ -327,46 +350,32 @@ def encode_source(model: Seq2SeqModel, src, pad_id: int) -> EncodedSource:
     return EncodedSource(visible, pad_id, cross_kv)
 
 
-def _extend(model: Seq2SeqModel, cache: EncodedSource, prefixes: np.ndarray, keys: list):
-    """Logits of the last position of each prefix, and every layer's self-attention [keys,
-    values] over the whole prefixes.  Parents missing from ``cache`` are computed first,
-    batched per length; ``cache`` itself is only read."""
-    n, t = prefixes.shape
-    if t == 1:
-        empty = np.empty((n, 0, model.config.d_model), dtype=model.dtype)
-        past = [[empty, empty] for _ in model.decoder_layers]
-    else:
-        rows, kv = (cache.rows, cache.self_kv) if cache.depth == t - 1 else ({}, None)
-        parents = [key[:-1] for key in keys]
-        missing = [p for p in dict.fromkeys(parents) if p not in rows]
-        if missing:
-            _, new_kv = _extend(model, cache, np.array(missing, dtype=prefixes.dtype), missing)
-            rows = {**rows, **{p: len(rows) + i for i, p in enumerate(missing)}}
-            kv = new_kv if kv is None else [[np.concatenate(pair) for pair in zip(old, new)]
-                                            for old, new in zip(kv, new_kv)]
-        index = np.array([rows[p] for p in parents])
-        past = [[k[index], v[index]] for k, v in kv]
-    logits = model.decode(prefixes, None, cache.src_visible, cache.pad_id,
-                          cross_kv=cache.cross_rows(n), self_kv=past)
-    return logits.data[:, 0, :], past
-
-
 def forward_step(model: Seq2SeqModel, source_cache: EncodedSource, prefix_tokens) -> np.ndarray:
     """Next-token log-probabilities for each prefix row.
 
-    Runs only the newest position of each prefix, on the cached cross-attention keys and
-    values and the self-attention keys and values ``source_cache`` keeps for the parent
-    prefixes; this equals the matching teacher-forced slice up to rounding (its products
-    have fewer rows, so they may round differently).
+    If ``source_cache`` holds every row's parent (the prefix less its last token), only the
+    newest position runs, on the parents' self-attention keys and values; otherwise positions
+    1..t run in turn over all rows from an empty cache.  The result equals the matching
+    teacher-forced slice up to rounding (its products have fewer rows, so they may round
+    differently).
     """
     prefixes = np.atleast_2d(np.asarray(prefix_tokens))
     if prefixes.shape[-1] < 1:
         raise ValueError("prefix must contain the start symbol")
     model._check_length(prefixes.shape[-1])
+    n, t = prefixes.shape
     keys = list(map(tuple, prefixes.tolist()))
-    logits, self_kv = _extend(model, source_cache, prefixes, keys)
-    source_cache.depth, source_cache.self_kv = prefixes.shape[-1], self_kv
-    source_cache.rows = {key: i for i, key in enumerate(keys)}
+    cache = source_cache
+    if cache.depth == t - 1 and all(key[:-1] in cache.rows for key in keys):
+        index = np.array([cache.rows[key[:-1]] for key in keys])
+        past, first = [[k[index], v[index]] for k, v in cache.self_kv], t
+    else:
+        empty = np.empty((n, 0, model.config.d_model), dtype=model.dtype)
+        past, first = [[empty, empty] for _ in model.decoder_layers], 1
+    for s in range(first, t + 1):
+        logits = model.decode(prefixes[:, :s], None, cache.src_visible, cache.pad_id,
+                              cross_kv=cache.cross_rows(n), self_kv=past).data[:, 0, :]
+    cache.depth, cache.self_kv, cache.rows = t, past, {key: i for i, key in enumerate(keys)}
     zmax = logits.max(axis=-1, keepdims=True)
     logp = logits - zmax - np.log(np.exp(logits - zmax).sum(axis=-1, keepdims=True))
     if np.asarray(prefix_tokens).ndim == 1:

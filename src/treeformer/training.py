@@ -11,7 +11,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import ClassVar, Dict, List, Optional
 
 import numpy as np
 
@@ -38,16 +38,16 @@ __all__ = [
 
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-9
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.98
+    eps: ClassVar[float] = 1e-9
     step: int = 0
     m: Dict[str, np.ndarray] = field(default_factory=dict)
     v: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_init(params: Dict[str, Tensor], beta1=0.9, beta2=0.98, eps=1e-9) -> AdamState:
-    state = AdamState(beta1=beta1, beta2=beta2, eps=eps)
+def adam_init(params: Dict[str, Tensor]) -> AdamState:
+    state = AdamState()
     for name, p in params.items():
         # np.zeros, not the Python-level zeros_like: about 1.5 us less per call
         state.m[name] = np.zeros(p.data.shape, p.data.dtype)
@@ -258,13 +258,13 @@ def train(model: Seq2SeqModel, task: SyntheticTask, spec: TrainingSpec, out_dir,
 
 
 def evaluate_model(model: Seq2SeqModel, task: SyntheticTask, n_examples: int = 32,
-                   beam_size: int = 4, alpha: float = 0.6, split: str = "valid",
-                   label_smoothing: float = 0.1, seed: int = 0) -> Dict[str, float]:
-    """Held-out loss, token accuracy, BLEU, and exact-sequence accuracy."""
+                   beam_size: int = 4, alpha: float = 0.6, label_smoothing: float = 0.1,
+                   seed: int = 0) -> Dict[str, float]:
+    """Loss, token accuracy, BLEU, and exact-sequence accuracy on the task's valid split."""
     from .decoding import beam_search
     from .metrics import bleu, exact_match
 
-    pairs = generate_task(task, split, n_examples, seed=seed)
+    pairs = generate_task(task, "valid", n_examples, seed=seed)
     batch = make_batch(pairs)
     logits = model.forward_train(batch)
     loss = label_smoothed_ce(logits, batch.tgt_out, label_smoothing, batch.pad_id)
@@ -290,8 +290,10 @@ def averaged_model_checkpoint(run_dir, k: int, strict: bool = True,
     With ``strict=False``, the step-0 checkpoint (the random initialisation)
     is left out unless it is the only one, and fewer than k checkpoints are
     averaged instead of failing.  With ``digest``, every averaged checkpoint
-    must carry that config digest, else ``ConfigError`` names it.
+    must carry that config digest, else ``ConfigError`` names it.  ``k`` must be >= 1.
     """
+    if k < 1:
+        raise ConfigError(f"must average the last k >= 1 checkpoints, got k = {k}")
     ckpt_dir = Path(run_dir) / "checkpoints"
     paths = list_checkpoints(ckpt_dir)
     if not paths:

@@ -59,6 +59,15 @@ class TestParams:
         assert main(["params", str(path)]) == 1
         assert "num_heads" in capsys.readouterr().err
 
+    def test_aggregation_not_an_object_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"model": {"num_layers": 2, "aggregation": "rtal"}}))
+        json_out = tmp_path / "params.json"
+        assert main(["params", str(path), "--json", str(json_out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: section 'model.aggregation' must be an object\n"
+        assert not json_out.exists()
+
 
 class TestTrain:
     def test_run_directory_contract(self, tmp_path, capsys):
@@ -102,6 +111,30 @@ class TestTrain:
         cfg = write_config(tmp_path / "exp.json", **{"model.n_layer": 4})
         assert main(["train", str(cfg)]) == 1
         assert "n_layer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option,named", [
+        ("training.steps=2.5", "training.steps must be an integer, got 2.5"),
+        ('model.num_layers="4"', "model.num_layers must be an integer, got '4'"),
+        ('model.aggregation="rtal"', "section 'model.aggregation' must be an object"),
+        ("model.dropout=true", "model.dropout must be a number, got True"),
+        ('model.agg_inner_dim="8"', "model.agg_inner_dim must be an integer or null"),
+        ("out_dir=5", "out_dir must be a string, got 5"),
+        ('seed="3"', "seed must be an integer, got '3'"),
+    ], ids=["float_steps", "string_layers", "string_aggregation", "bool_dropout", "string_inner_dim",
+            "number_out_dir", "string_seed"])
+    def test_wrongly_typed_value_exit_one_before_any_file(self, tmp_path, capsys, option, named):
+        cfg = write_config(tmp_path / "exp.json")
+        out = tmp_path / "typed"
+        assert main(["train", str(cfg), "--out-dir", str(out), "--set", option]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and named in err
+        assert not out.exists() and not (tmp_path / "run").exists()
+
+    def test_wrongly_typed_values_in_the_file_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "exp.json", **{"model.aggregation": "rtal"})
+        assert main(["train", str(cfg)]) == 1
+        assert "section 'model.aggregation' must be an object" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_missing_config_exit_one(self, capsys):
         assert main(["train", "/nonexistent/exp.json"]) == 1
@@ -151,6 +184,44 @@ class TestDecodeAverage:
     def test_average_too_few_checkpoints_exit_one(self, run_dir, capsys):
         assert main(["average", str(run_dir), "--k", "99"]) == 1
         assert "99" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_average_fewer_than_one_checkpoint_exit_one(self, run_dir, capsys, k):
+        assert main(["average", str(run_dir), "--k", str(k)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: must average the last k >= 1 checkpoints, got k = {k}\n"
+        assert not list(run_dir.glob("averaged_*"))
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_decode_last_k_below_one_exit_one(self, run_dir, tmp_path, capsys, k):
+        inputs = tmp_path / "inputs.txt"
+        inputs.write_text("3 4 5\n")
+        out = tmp_path / "k.out"
+        assert main(["decode", str(run_dir), str(inputs), "--last-k", str(k), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: must average the last k >= 1 checkpoints, got k = {k}\n"
+        assert not out.exists()
+
+    # the run's model has max_len 24
+    @pytest.mark.parametrize("max_len", [25, 40, 0, -1])
+    def test_decode_max_len_outside_model_range_exit_one(self, run_dir, tmp_path, capsys, max_len):
+        inputs = tmp_path / "inputs.txt"
+        inputs.write_text("3 4 5\n")
+        out = tmp_path / "m.out"
+        assert main(["decode", str(run_dir), str(inputs), "--max-len", str(max_len),
+                     "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --max-len must be in [1, 24] (the model's max_len), got {max_len}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("max_len", [1, 24])
+    def test_decode_max_len_at_the_range_ends(self, run_dir, tmp_path, max_len):
+        inputs = tmp_path / "inputs.txt"
+        inputs.write_text("3 4 5\n")
+        out = tmp_path / "m.out"
+        assert main(["decode", str(run_dir), str(inputs), "--beam", "1", "--max-len", str(max_len),
+                     "--output", str(out)]) == 0
+        assert len(out.read_text().split()) <= max_len
 
     def test_decode_beam_one_matches_greedy_and_is_stable(self, run_dir, tmp_path):
         inputs = tmp_path / "inputs.txt"

@@ -113,6 +113,23 @@ class TestBeamSearch:
         best = min(finished, key=lambda c: (-c[1], len(c[0]), c[0]))
         assert result.tokens == list(best[0][:-1]) and result.score == best[1]
 
+    @pytest.mark.parametrize("beam", [1, 4])
+    def test_every_step_extends_the_cached_prefixes(self, beam, monkeypatch):
+        # forward_step rebuilds every position when a parent is not cached; beam search extends
+        # the previous step's prefixes, so each of its steps is one decode call (encode_source
+        # uses encode, not decode)
+        model = toy_model(3, structure="rtal")
+        decodes, steps = [], []
+        real_decode = type(model).decode
+        monkeypatch.setattr(type(model), "decode",
+                            lambda *args, **kwargs: decodes.append(1) or real_decode(*args, **kwargs))
+        monkeypatch.setattr(decoding, "forward_step", lambda *args: steps.append(1) or forward_step(*args))
+        sources = ([3, 4, 2], [5, 2], [4, 4, 5, 3, 2])
+        for source in sources:
+            beam_search(model, np.array(source), beam_size=beam, alpha=0.6, max_len=8)
+        assert len(steps) > len(sources)
+        assert len(decodes) == len(steps)
+
     def test_unfinished_flag_when_eos_unreachable(self):
         # scan for a model/seed pair whose greedy path never emits EOS in 2 steps
         for seed in range(40):

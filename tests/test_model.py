@@ -309,7 +309,7 @@ class TestForwardStep:
 
     def test_uncached_ancestors_and_shorter_prefixes(self):
         # a prefix asked for with no cached parent computes its ancestors; a shorter prefix
-        # asked for after longer ones starts over; parents shared by rows are computed once
+        # asked for after longer ones starts over, and so does a set with only some parents cached
         model = build(tiny_config(num_layers=4, aggregation=self.STEP_SPECS[1]), dtype=np.float64)
         src = np.array([[3, 4, 2]])
         cache = encode_source(model, src, 0)

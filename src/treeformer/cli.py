@@ -49,6 +49,8 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def validate(self) -> None:
+        if self.seed < 0:   # before the sections, which inherit it
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.model.validate()
         try:
             self.task.validate()
@@ -118,6 +120,14 @@ def _parse_set(pairs) -> list:
             value = text
         out.append((key, value))
     return out
+
+
+def _check_search(args) -> None:
+    """``--beam`` and ``--alpha`` in the ranges ``beam_search`` accepts, before any work."""
+    if args.beam < 1:
+        raise ConfigError(f"--beam must be >= 1, got {args.beam}")
+    if not args.alpha >= 0:
+        raise ConfigError(f"--alpha must be >= 0, got {args.alpha}")
 
 
 def _span_line(config: ModelConfig) -> str:
@@ -190,6 +200,7 @@ def _source(line: str, where: str, config: ModelConfig):
 
 
 def cmd_decode(args) -> int:
+    _check_search(args)
     run_dir = Path(args.run_dir)
     config = load_experiment(run_dir / "config.json")
     limit = config.model.max_len
@@ -229,6 +240,9 @@ def cmd_average(args) -> int:
 def cmd_ablate(args) -> int:
     if not args.axis:
         raise ConfigError(f"ablate needs at least one --axis ({', '.join(AXES)})")
+    _check_search(args)
+    if args.eval_samples < 1:
+        raise ConfigError(f"--eval-samples must be >= 1, got {args.eval_samples}")
     config = load_experiment(args.config, _parse_set(args.set))
     out_dir = Path(args.out_dir or config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

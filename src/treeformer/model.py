@@ -1,10 +1,12 @@
 """Encoder-decoder assembly with optional cross-layer aggregation.
 
-With aggregation active, the aggregator root replaces the top-layer output
-as the representation consumed downstream: the fused encoder state feeds
-every decoder layer's cross-attention, and the fused decoder state feeds
-the output projection.  Tree-shaped aggregators span the last
-2^floor(log2(num_layers)) layers; the flat baselines span all layers.
+The model is one ``Module`` tree (an embedding, an encoder ``Stack`` and a decoder ``Stack``), so
+an attribute path names every parameter (``decoder.agg.nodes.2.beta``).  A stack runs its layers,
+fuses their outputs and applies its final norm: with aggregation active, the aggregator root
+replaces the top-layer output as the representation consumed downstream, so the fused encoder
+state feeds every decoder layer's cross-attention and the fused decoder state feeds the output
+projection.  Tree-shaped aggregators span the last 2^floor(log2(num_layers)) layers; the flat
+baselines span all layers.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .nn import (
     Embedding,
     EncoderLayer,
     LayerNorm,
+    Module,
     Packing,
     dropout,
     sinusoidal_positions,
@@ -126,6 +129,8 @@ class ModelConfig:
             raise ConfigError(f"agg_inner_dim must be >= 1, got {self.agg_inner_dim}")
         if self.ln_eps <= 0:
             raise ConfigError(f"ln_eps must be positive, got {self.ln_eps}")
+        if self.seed < 0:
+            raise ConfigError(f"model.seed must be >= 0, got {self.seed}")
         self.aggregation.validate()
         span = _span_size(self)
         if self.aggregation.structure in aggregation.TREES and span < 2:
@@ -158,11 +163,27 @@ def aggregated_span(config: ModelConfig) -> Optional[Tuple[int, int]]:
     return (config.num_layers - span + 1, config.num_layers) if span else None
 
 
-class Seq2SeqModel:
-    """Tied-embedding Transformer with optional per-stack aggregators.
+class Stack(Module):
+    """Layers, then a final ``norm`` of the top layer's output or, with an aggregator ``agg``, of
+    its fusion of the top ``agg.num_inputs`` outputs: the fused root replaces the top output."""
 
-    Core parameters (embedding, layers, final norms) are initialized from
-    one seed stream and aggregator parameters from a second, so builds that
+    def __init__(self, layers: List[Module], norm: LayerNorm, agg: Optional[Module]):
+        self.layers, self.norm, self.agg = layers, norm, agg
+
+    def __call__(self, x: Tensor, run: Callable[[int, Module, Tensor], Tensor], rng=None) -> Tensor:
+        """``run(i, layer, x)`` applies layer i to x."""
+        outputs = [x]   # agg.num_inputs <= len(layers), so the input is never fused
+        for i, layer in enumerate(self.layers):
+            outputs.append(run(i, layer, outputs[-1]))
+        top = outputs[-1] if self.agg is None else self.agg.apply(outputs[-self.agg.num_inputs:], rng)
+        return self.norm(top)
+
+
+class Seq2SeqModel(Module):
+    """Tied-embedding Transformer: an embedding, an encoder ``Stack`` and a decoder ``Stack``.
+
+    Core parameters (the embedding, every encoder layer, then every decoder layer) are drawn from
+    one seed stream and aggregator parameters (encoder, then decoder) from a second, so builds that
     differ only in aggregation share bit-identical core initialization.
     """
 
@@ -176,37 +197,17 @@ class Seq2SeqModel:
         c = config
         self.embedding = Embedding(c.vocab_size, c.d_model, rng_core, dtype)
         self.positions = sinusoidal_positions(c.max_len, c.d_model).astype(dtype)
-        self.encoder_layers = [
-            EncoderLayer(c.d_model, c.num_heads, c.d_ff, c.dropout, c.ln_eps, rng_core, dtype)
-            for _ in range(c.num_layers)
-        ]
-        self.encoder_norm = LayerNorm(c.d_model, c.ln_eps, dtype)
-        self.decoder_layers = [
-            DecoderLayer(c.d_model, c.num_heads, c.d_ff, c.dropout, c.ln_eps, rng_core, dtype)
-            for _ in range(c.num_layers)
-        ]
-        self.decoder_norm = LayerNorm(c.d_model, c.ln_eps, dtype)
-
+        layers = [[cls(c.d_model, c.num_heads, c.d_ff, c.dropout, c.ln_eps, rng_core, dtype)
+                   for _ in range(c.num_layers)] for cls in (EncoderLayer, DecoderLayer)]
         spec = c.aggregation
-        span = _span_size(c)
-        self.encoder_agg, self.decoder_agg = (
-            aggregation.build_aggregator(spec.structure, spec.formula, span, c.d_model,
-                                         c.inner_dim, c.dropout, c.ln_eps, rng_agg, dtype)
-            if spec.active_on(side) else None
-            for side in ("encoder", "decoder"))
+        self.encoder, self.decoder = (
+            Stack(side_layers, LayerNorm(c.d_model, c.ln_eps, dtype),
+                  aggregation.build_aggregator(spec.structure, spec.formula, _span_size(c), c.d_model,
+                                               c.inner_dim, c.dropout, c.ln_eps, rng_agg, dtype)
+                  if spec.active_on(side) else None)
+            for side, side_layers in zip(("encoder", "decoder"), layers))
 
     # -- parameters ---------------------------------------------------------
-
-    def named_parameters(self) -> Iterator[Tuple[str, Tensor]]:
-        yield from self.embedding.named_parameters("embedding")
-        for stack, layers, norm, agg in (
-                ("encoder", self.encoder_layers, self.encoder_norm, self.encoder_agg),
-                ("decoder", self.decoder_layers, self.decoder_norm, self.decoder_agg)):
-            for i, layer in enumerate(layers):
-                yield from layer.named_parameters(f"{stack}.layers.{i}")
-            yield from norm.named_parameters(f"{stack}.norm")
-            if agg is not None:
-                yield from agg.named_parameters(f"{stack}.agg")
 
     def parameters(self) -> Dict[str, Tensor]:
         return dict(self.named_parameters())
@@ -244,11 +245,6 @@ class Seq2SeqModel:
         x = add(x, Tensor(self.positions[positions]))
         return dropout(x, self.config.dropout, rng)
 
-    def _aggregate(self, agg, outputs, rng) -> Tensor:
-        if agg is None:
-            return outputs[-1]
-        return agg.apply(outputs[-agg.num_inputs:], rng)
-
     def encode(self, src: np.ndarray, pad_id: int, rng=None, pack=None) -> Tuple[Tensor, np.ndarray]:
         """Run the encoder on the rows of ``pack`` (by default every slot);
         returns (memory, source visibility mask)."""
@@ -258,12 +254,7 @@ class Seq2SeqModel:
         pack = pack or Packing(src.shape)
         self._check_length(src.shape[-1])
         x = self._embed(pack.gather(src), pack.positions, rng)
-        outputs = []
-        for layer in self.encoder_layers:
-            x = layer(x, attn_mask, rng, pack)
-            outputs.append(x)
-        top = self._aggregate(self.encoder_agg, outputs, rng)
-        return self.encoder_norm(top), visible
+        return self.encoder(x, lambda i, layer, x: layer(x, attn_mask, rng, pack), rng), visible
 
     def decode(self, tgt_in: np.ndarray, memory: Optional[Tensor], src_visible: np.ndarray,
                pad_id: int, rng=None, cross_kv=None, packs=None, self_kv=None) -> Tensor:
@@ -286,13 +277,9 @@ class Seq2SeqModel:
         else:
             y = self._embed(tgt_in[:, t - 1:], slice(t - 1, t), rng)
         cross_mask = src_visible[:, None, None, :]
-        none = [None] * len(self.decoder_layers)
-        outputs = []
-        for layer, kv, past in zip(self.decoder_layers, cross_kv or none, self_kv or none):
-            y = layer(y, memory, self_mask, cross_mask, rng, kv, packs, past)
-            outputs.append(y)
-        top = self._aggregate(self.decoder_agg, outputs, rng)
-        logits = matmul(self.decoder_norm(top), transpose_last_two(self.embedding.weight))
+        y = self.decoder(y, lambda i, layer, y: layer(
+            y, memory, self_mask, cross_mask, rng, cross_kv and cross_kv[i], packs, self_kv and self_kv[i]), rng)
+        logits = matmul(y, transpose_last_two(self.embedding.weight))
         return logits if self_kv is not None else packs[0].unpack(logits)
 
     def forward_train(self, batch, rng=None) -> Tensor:
@@ -346,7 +333,7 @@ def encode_source(model: Seq2SeqModel, src, pad_id: int) -> EncodedSource:
     src = np.atleast_2d(np.asarray(src))
     memory, visible = model.encode(src, pad_id)
     cross_kv = [tuple(t.data for t in layer.cross_attn.project_kv(memory, memory))
-                for layer in model.decoder_layers]
+                for layer in model.decoder.layers]
     return EncodedSource(visible, pad_id, cross_kv)
 
 
@@ -371,7 +358,7 @@ def forward_step(model: Seq2SeqModel, source_cache: EncodedSource, prefix_tokens
         past, first = [[k[index], v[index]] for k, v in cache.self_kv], t
     else:
         empty = np.empty((n, 0, model.config.d_model), dtype=model.dtype)
-        past, first = [[empty, empty] for _ in model.decoder_layers], 1
+        past, first = [[empty, empty] for _ in model.decoder.layers], 1
     for s in range(first, t + 1):
         logits = model.decode(prefixes[:, :s], None, cache.src_visible, cache.pad_id,
                               cross_kv=cache.cross_rows(n), self_kv=past).data[:, 0, :]

@@ -36,18 +36,23 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -
 
 class Module:
     """A layer: its parameters are its trainable Tensor attributes and those of its sub-layers,
-    named by attribute path.  Other attributes (None, numbers, arrays) are skipped.
+    named by attribute path; a list attribute holds sub-layers, item i named ``attr.{i}``.  Other
+    attributes (None, numbers, arrays) are skipped.
 
     Attribute assignment order is the order of parameters, of Adam's moments and of checkpoint
     records; tests/test_param_layout.py pins it, so a layer must keep assigning in that order.
     """
 
-    def named_parameters(self, prefix: str) -> NamedParams:
+    def named_parameters(self, prefix: str = "") -> NamedParams:
         for attr, value in vars(self).items():
+            name = f"{prefix}.{attr}" if prefix else attr
             if isinstance(value, Module):
-                yield from value.named_parameters(f"{prefix}.{attr}")
+                yield from value.named_parameters(name)
+            elif isinstance(value, list):
+                for i, layer in enumerate(value):
+                    yield from layer.named_parameters(f"{name}.{i}")
             elif isinstance(value, Tensor) and value.requires_grad:
-                yield f"{prefix}.{attr}", value
+                yield name, value
 
 
 class Linear(Module):

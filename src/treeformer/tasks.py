@@ -42,6 +42,8 @@ class SyntheticTask:
             raise ValueError("vocab_size above 256 is not supported")
         if not 1 <= self.min_len <= self.max_len:
             raise ValueError(f"invalid length range [{self.min_len}, {self.max_len}]")
+        if self.seed < 0:
+            raise ValueError(f"task.seed must be >= 0, got {self.seed}")
 
     def target_for(self, src: Tuple[int, ...]) -> Tuple[int, ...]:
         if self.kind == "copy":

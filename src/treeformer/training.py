@@ -113,6 +113,8 @@ class TrainingSpec:
             raise ValueError(f"batch_tokens must be >= 4, got {self.batch_tokens}")
         if self.warmup < 1:
             raise ValueError(f"warmup must be >= 1, got {self.warmup}")
+        if not self.lr_factor > 0:
+            raise ValueError(f"lr_factor must be > 0, got {self.lr_factor}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.checkpoint_every < 1:

@@ -194,21 +194,21 @@ def np_vanilla_forward(model, batch) -> np.ndarray:
     src, tgt_in, pad = batch.src, batch.tgt_in, batch.pad_id
     x = emb[src] * math.sqrt(cfg.d_model) + pe[: src.shape[1]]
     src_vis = (src != pad)[:, None, :]
-    for layer in model.encoder_layers:
+    for layer in model.encoder.layers:
         h = ln(x, layer.ln1)
         x = x + mha(layer.self_attn, h, h, h, src_vis)
         x = x + ffn(ln(x, layer.ln2), layer.ffn)
-    memory = ln(x, model.encoder_norm)
+    memory = ln(x, model.encoder.norm)
 
     t = tgt_in.shape[1]
     causal = np.tril(np.ones((t, t), dtype=bool))
     tgt_vis = causal[None] & (tgt_in != pad)[:, None, :]
     y = emb[tgt_in] * math.sqrt(cfg.d_model) + pe[:t]
-    for layer in model.decoder_layers:
+    for layer in model.decoder.layers:
         h = ln(y, layer.ln1)
         y = y + mha(layer.self_attn, h, h, h, tgt_vis)
         h = ln(y, layer.ln2)
         y = y + mha(layer.cross_attn, h, memory, memory, src_vis)
         y = y + ffn(ln(y, layer.ln3), layer.ffn)
-    y = ln(y, model.decoder_norm)
+    y = ln(y, model.decoder.norm)
     return y @ emb.T

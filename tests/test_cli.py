@@ -130,6 +130,20 @@ class TestTrain:
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and named in err
         assert not out.exists() and not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("option,message", [
+        ("seed=-1", "seed must be >= 0, got -1"),
+        ("model.seed=-2", "model.seed must be >= 0, got -2"),
+        ("task.seed=-3", "task.seed must be >= 0, got -3"),
+        ("training.lr_factor=-1", "lr_factor must be > 0, got -1"),
+        ("training.lr_factor=0", "lr_factor must be > 0, got 0"),
+    ], ids=["seed", "model_seed", "task_seed", "negative_lr_factor", "zero_lr_factor"])
+    def test_out_of_range_value_exit_one_before_any_file(self, tmp_path, capsys, option, message):
+        cfg = write_config(tmp_path / "exp.json")
+        out = tmp_path / "ranged"
+        assert main(["train", str(cfg), "--out-dir", str(out), "--set", option]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() and not (tmp_path / "run").exists()
+
     def test_wrongly_typed_values_in_the_file_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "exp.json", **{"model.aggregation": "rtal"})
         assert main(["train", str(cfg)]) == 1
@@ -213,6 +227,20 @@ class TestDecodeAverage:
         err = capsys.readouterr().err
         assert err == f"error: --max-len must be in [1, 24] (the model's max_len), got {max_len}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("option,message", [
+        (["--beam", "0"], "--beam must be >= 1, got 0"),
+        (["--beam", "-2"], "--beam must be >= 1, got -2"),
+        (["--alpha", "-1"], "--alpha must be >= 0, got -1.0"),
+        (["--alpha", "nan"], "--alpha must be >= 0, got nan"),
+    ], ids=["zero_beam", "negative_beam", "negative_alpha", "nan_alpha"])
+    def test_decode_search_option_out_of_range_exit_one(self, run_dir, tmp_path, capsys, option, message):
+        inputs = tmp_path / "inputs.txt"
+        inputs.write_text("3 4 5\n")
+        out = tmp_path / "s.out"
+        assert main(["decode", str(run_dir), str(inputs), *option, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() and not inputs.with_suffix(".decoded").exists()
 
     @pytest.mark.parametrize("max_len", [1, 24])
     def test_decode_max_len_at_the_range_ends(self, run_dir, tmp_path, max_len):
@@ -305,6 +333,21 @@ class TestAblate:
         cfg = write_config(tmp_path / "exp.json")
         assert main(["ablate", str(cfg)]) == 1
         assert "axis" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option,message", [
+        (["--beam", "0"], "--beam must be >= 1, got 0"),
+        (["--alpha", "-1"], "--alpha must be >= 0, got -1.0"),
+        (["--eval-samples", "0"], "--eval-samples must be >= 1, got 0"),
+    ], ids=["zero_beam", "negative_alpha", "zero_eval_samples"])
+    def test_option_out_of_range_exit_one_before_any_cell(self, tmp_path, capsys, option, message):
+        cfg = write_config(tmp_path / "exp.json", **{
+            "training.steps": 1, "training.checkpoint_every": 1,
+            "out_dir": str(tmp_path / "ablation"),
+        })
+        assert main(["ablate", str(cfg), "--axis", "formula", *option]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not (tmp_path / "ablation").exists()
 
     def test_formula_axis_produces_table_shaped_report(self, tmp_path):
         cfg = write_config(tmp_path / "exp.json", **{

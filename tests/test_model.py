@@ -106,9 +106,9 @@ class TestBuild:
     def test_tree_node_count_per_stack(self):
         model = build(tiny_config(num_layers=6, d_model=8,
                                   aggregation=AggregationSpec("rtal", "mean", "both")))
-        assert len(model.encoder_agg.nodes) == 3
-        assert len(model.decoder_agg.nodes) == 3
-        assert model.encoder_agg.num_inputs == 4
+        assert len(model.encoder.agg.nodes) == 3
+        assert len(model.decoder.agg.nodes) == 3
+        assert model.encoder.agg.num_inputs == 4
 
     @pytest.mark.parametrize("structure,group,nodes", [
         ("rtal", "nodes", 3), ("cnn_tree", "nodes", 3), ("iterative", "steps", 5)])
@@ -124,9 +124,20 @@ class TestBuild:
 
     def test_position_controls_which_stacks(self):
         enc_only = build(tiny_config(aggregation=AggregationSpec("rtal", "mean", "encoder")))
-        assert enc_only.encoder_agg is not None and enc_only.decoder_agg is None
+        assert enc_only.encoder.agg is not None and enc_only.decoder.agg is None
         dec_only = build(tiny_config(aggregation=AggregationSpec("rtal", "mean", "decoder")))
-        assert dec_only.encoder_agg is None and dec_only.decoder_agg is not None
+        assert dec_only.encoder.agg is None and dec_only.decoder.agg is not None
+
+    @pytest.mark.parametrize("structure", ["rtal", "iterative", "linear", "none"])
+    def test_each_stack_names_its_slice_of_the_model_parameters(self, structure):
+        # per-stack views (gradient norms, aggregator state) read these slices
+        model = build(tiny_config(num_layers=4, aggregation=AggregationSpec(structure, "ewp_ffn", "both")))
+        everything = list(model.named_parameters())
+        for stack in ("encoder", "decoder"):
+            own = list(getattr(model, stack).named_parameters(stack))
+            assert [(n, id(p)) for n, p in own] == \
+                [(n, id(p)) for n, p in everything if n.startswith(stack + ".")]
+            assert any(".agg." in n for n, _ in own) == (structure != "none")
 
 
 class TestForward:
@@ -274,7 +285,7 @@ class TestForwardStep:
         cache = encode_source(model, src, 0)
         assert len(cache.cross_kv) == 4
         memory, _ = model.encode(src, 0)
-        for layer, kv in zip(model.decoder_layers, cache.cross_kv):
+        for layer, kv in zip(model.decoder.layers, cache.cross_kv):
             for cached, projected in zip(kv, layer.cross_attn.project_kv(memory, memory)):
                 assert cached.shape == (1, 3, 8)
                 np.testing.assert_array_equal(cached, projected.data)

@@ -22,7 +22,7 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .nn import FeedForward, LayerNorm, Module, NamedParams, dropout
+from .nn import FeedForward, LayerNorm, Module, NamedParams
 from .tensor import (
     ShapeError,
     Tensor,
@@ -84,8 +84,7 @@ class EwpFfnFormula(FeedForward):
         self.dropout_rate = dropout_rate
 
     def apply(self, a: Tensor, b: Tensor, rng=None) -> Tensor:
-        s = mul_elementwise(add(a, b), self.beta)
-        return add(dropout(self(self.norm(s)), self.dropout_rate, rng), s)
+        return self(mul_elementwise(add(a, b), self.beta), self.norm, self.dropout_rate, rng)
 
 
 def make_formula(kind, d_model, inner_dim, dropout_rate, ln_eps, rng, dtype=np.float32):

@@ -50,9 +50,10 @@ _ACCEPTED = {int: (int, "an integer"), float: ((int, float), "a number"), str: (
 
 def check_type(value, default, name: str):
     """``value`` if the field ``name``, whose default is ``default``, accepts it (a bool is
-    never a number); otherwise ``ConfigError`` names the field."""
+    never a number, nor is NaN or an infinity); otherwise ``ConfigError`` names the field."""
     accepted, kind = _ACCEPTED[type(default)]
-    if isinstance(value, bool) or not isinstance(value, accepted):
+    if isinstance(value, bool) or not isinstance(value, accepted) or \
+            (isinstance(value, float) and not math.isfinite(value)):
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
     return value
 

@@ -17,9 +17,11 @@ from .tensor import (
     MaskError,
     ShapeError,
     Tensor,
-    add,
     embedding_lookup,
+    _sum_to_suffix,
     layer_norm,
+    layer_norm_backward,
+    layer_norm_forward,
     matmul,
     mul_elementwise,
     record_op,
@@ -86,18 +88,88 @@ class FeedForward(Module):
         self.lin1 = Linear(in_dim or d_model, d_ff, rng, dtype)
         self.lin2 = Linear(d_ff, d_model, rng, dtype)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(relu(self.lin1(x)))
+    def __call__(self, x: Tensor, norm: Optional[LayerNorm] = None, rate: float = 0.0,
+                 rng: Optional[np.random.Generator] = None) -> Tensor:
+        """FFN(x); with ``norm``, the pre-norm residual sublayer x + dropout(FFN(norm(x))) as one
+        taped op (``ffn_sublayer``)."""
+        if norm is None:
+            return self.lin2(relu(self.lin1(x)))
+        return ffn_sublayer(x, norm, self, rate, rng)
+
+
+def dropout_mask(shape, dtype, rate: float, rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
+    """The inverted-dropout multiplier for an array of ``shape``: 0 where a unit is dropped,
+    1 / (1 - rate) where it is kept; None when dropout is off (rate 0 or no rng)."""
+    if rate == 0.0 or rng is None:
+        return None
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    keep = (rng.random(shape, dtype=np.float32) >= rate).astype(dtype)
+    return keep * (1.0 / (1.0 - rate))
 
 
 def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
     """Inverted dropout; identity when rate is 0 or no rng is supplied."""
-    if rate == 0.0 or rng is None:
-        return x
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = (rng.random(x.data.shape, dtype=np.float32) >= rate).astype(x.data.dtype)
-    return mul_elementwise(x, Tensor(keep * (1.0 / (1.0 - rate))))
+    mask = dropout_mask(x.data.shape, x.data.dtype, rate, rng)
+    return x if mask is None else mul_elementwise(x, Tensor(mask))
+
+
+# The fused sublayer ops below do the arithmetic of the taped chains they replace in the same
+# order (one dropout draw, after the last projection), so their outputs and gradients are the
+# chains' bit for bit; they keep for backward only the arrays it reads.
+
+def _residual_linear(x: Tensor, rows: np.ndarray, lin: Linear, rate: float, rng):
+    """x + dropout(lin(rows)), the (n, in) ``rows`` mapped to x's (..., out) shape, and its
+    backward: the map from the output gradient to the gradients of rows, weight and bias."""
+    w, b = lin.weight.data, lin.bias.data
+    f = rows @ w
+    f += b
+    f = f.reshape(x.data.shape)
+    mask = dropout_mask(f.shape, f.dtype, rate, rng)
+    if mask is not None:
+        f *= mask
+
+    def backward(g):
+        gf = g if mask is None else g * mask
+        g2 = gf.reshape(len(rows), -1)
+        return g2 @ w.T, rows.T @ g2, _sum_to_suffix(b.shape, gf)
+
+    return x.data + f, backward
+
+
+def attention_tail(x: Tensor, heads: Tensor, proj: Linear, rate: float, rng) -> Tensor:
+    """x + dropout(proj(heads)) as one taped op: an attention sublayer after its merged heads.
+    Backward keeps the heads' rows and the dropout mask."""
+    out, tail = _residual_linear(x, heads.data.reshape(-1, heads.data.shape[-1]), proj, rate, rng)
+
+    def rule(g):
+        gheads, gw, gb = tail(g)
+        return g, gheads.reshape(heads.data.shape), gw, gb
+
+    return record_op(out, (x, heads, proj.weight, proj.bias), rule)
+
+
+def ffn_sublayer(x: Tensor, norm: LayerNorm, ffn: FeedForward, rate: float, rng) -> Tensor:
+    """x + dropout(W2 relu(W1 LN(x) + b1) + b2) as one taped op: a pre-norm FFN sublayer.
+    Backward keeps the layer norm's xhat and 1/std, its output rows, the ReLU output (whose
+    positives are the pre-activation's) and the dropout mask."""
+    w1, b1, gamma = ffn.lin1.weight.data, ffn.lin1.bias.data, norm.gamma.data
+    h, xhat, inv = layer_norm_forward(x.data, gamma, norm.beta.data, norm.eps)
+    rows = h.reshape(-1, h.shape[-1])
+    r = rows @ w1
+    r += b1
+    np.maximum(r, 0, out=r)
+    out, tail = _residual_linear(x, r, ffn.lin2, rate, rng)
+
+    def rule(g):
+        gr, gw2, gb2 = tail(g)
+        gr *= r > 0
+        dx, dgamma, dbeta = layer_norm_backward((gr @ w1.T).reshape(xhat.shape), xhat, inv, gamma)
+        gb1 = _sum_to_suffix(b1.shape, gr.reshape(xhat.shape[:-1] + b1.shape))
+        return g + dx, dgamma, dbeta, rows.T @ gr, gb1, gw2, gb2
+
+    return record_op(out, (x, norm.gamma, norm.beta, ffn.lin1.weight, ffn.lin1.bias,
+                           ffn.lin2.weight, ffn.lin2.bias), rule)
 
 
 class Packing(NamedTuple):
@@ -143,14 +215,16 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None, num_heads: 
     head attends on its own, and the heads are merged back to (..., Tq, d).
     With ``packs`` (the query packing and the key/value packing), q, k and v
     are packed (N, d) rows: they are scattered into zero-filled (B, T, d)
-    here, and the output and the gradients are gathered back to rows.
+    here, and the output and the gradients are gathered back to rows; without
+    ``packs`` they are used as they are.
     ``mask`` is a boolean array broadcastable to (..., num_heads, Tq, Tk);
     True marks a visible key.  A query row with no visible key raises
     MaskError.  The backward rule is the closed form
     dS = P * (dP - rowsum(dP * P)) (FlashAttention, Dao et al. 2022).
     """
-    qp, kvp = packs or (Packing(q.shape[:-1]), Packing(k.shape[:-1]))
-    qd, kd, vd = qp.scatter(q.data), kvp.scatter(k.data), kvp.scatter(v.data)
+    qp, kvp = packs or (None, None)
+    qd, kd, vd = (q.data, k.data, v.data) if packs is None else \
+        (qp.scatter(q.data), kvp.scatter(k.data), kvp.scatter(v.data))
     if qd.ndim < 2 or kd.shape != vd.shape or \
             (kd.shape[:-2], kd.shape[-1]) != (qd.shape[:-2], qd.shape[-1]):
         raise ShapeError(f"attention operands disagree: q {q.shape}, k {k.shape}, v {v.shape}")
@@ -189,16 +263,17 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None, num_heads: 
     p = np.ascontiguousarray(pk.transpose(from_keys))
 
     def rule(g):
-        gh = split(qp.scatter(g))
+        gh = split(g if packs is None else qp.scatter(g))
         dsk = np.ascontiguousarray((gh @ np.ascontiguousarray(vh.swapaxes(-1, -2))).transpose(to_keys))
         dsk -= (dsk * pk).sum(axis=0)
         dsk *= pk
         ds = np.ascontiguousarray(dsk.transpose(from_keys))
         ds *= factor
-        return (qp.gather(merge(ds @ kh)), kvp.gather(merge(ds.swapaxes(-1, -2) @ qh)),
-                kvp.gather(merge(p.swapaxes(-1, -2) @ gh)))
+        dq, dk, dv = merge(ds @ kh), merge(ds.swapaxes(-1, -2) @ qh), merge(p.swapaxes(-1, -2) @ gh)
+        return (dq, dk, dv) if packs is None else (qp.gather(dq), kvp.gather(dk), kvp.gather(dv))
 
-    return record_op(qp.gather(merge(p @ vh)), (q, k, v), rule)
+    out = merge(p @ vh)
+    return record_op(out if packs is None else qp.gather(out), (q, k, v), rule)
 
 
 class MultiHeadAttention(Module):
@@ -219,11 +294,17 @@ class MultiHeadAttention(Module):
         """Keys and values; cross-attention computes them once per source."""
         return self.k_proj(k_in), self.v_proj(v_in)
 
-    def __call__(self, q_in: Tensor, k_in: Tensor, v_in: Tensor, mask=None, kv=None, packs=None) -> Tensor:
-        """``kv``: keys and values from ``project_kv``, used instead of k_in and v_in."""
+    def __call__(self, q_in: Tensor, k_in: Tensor, v_in: Tensor, mask=None, kv=None, packs=None,
+                 residual: Optional[Tensor] = None, rate: float = 0.0, rng=None) -> Tensor:
+        """``kv``: keys and values from ``project_kv``, used instead of k_in and v_in.  With
+        ``residual`` x, the whole sublayer x + dropout(out_proj(attention)), whose tail after the
+        attention is one taped op (``attention_tail``)."""
         q = self.q_proj(q_in)
         k, v = self.project_kv(k_in, v_in) if kv is None else kv
-        return self.out_proj(scaled_dot_attention(q, k, v, mask, self.num_heads, packs))
+        heads = scaled_dot_attention(q, k, v, mask, self.num_heads, packs)
+        if residual is None:
+            return self.out_proj(heads)
+        return attention_tail(residual, heads, self.out_proj, rate, rng)
 
 
 class Embedding(Module):
@@ -257,10 +338,9 @@ class EncoderLayer(Module):
     def __call__(self, x: Tensor, mask, rng: Optional[np.random.Generator] = None,
                  pack: Optional[Packing] = None) -> Tensor:
         h = self.ln1(x)
-        x = add(x, dropout(self.self_attn(h, h, h, mask, packs=pack and (pack, pack)),
-                           self.dropout_rate, rng))
-        x = add(x, dropout(self.ffn(self.ln2(x)), self.dropout_rate, rng))
-        return x
+        x = self.self_attn(h, h, h, mask, packs=pack and (pack, pack), residual=x,
+                           rate=self.dropout_rate, rng=rng)
+        return self.ffn(x, self.ln2, self.dropout_rate, rng)
 
 
 class DecoderLayer(Module):
@@ -287,13 +367,12 @@ class DecoderLayer(Module):
             kv = [Tensor(np.concatenate((past, new.data), axis=-2))
                   for past, new in zip(past_kv, self.self_attn.project_kv(h, h))]
             past_kv[:] = [a.data for a in kv]
-        x = add(x, dropout(self.self_attn(h, h, h, self_mask, kv, packs=packs and (packs[0], packs[0])),
-                           self.dropout_rate, rng))
+        x = self.self_attn(h, h, h, self_mask, kv, packs and (packs[0], packs[0]), residual=x,
+                           rate=self.dropout_rate, rng=rng)
         h = self.ln2(x)
-        x = add(x, dropout(self.cross_attn(h, memory, memory, cross_mask, cross_kv, packs),
-                           self.dropout_rate, rng))
-        x = add(x, dropout(self.ffn(self.ln3(x)), self.dropout_rate, rng))
-        return x
+        x = self.cross_attn(h, memory, memory, cross_mask, cross_kv, packs, residual=x,
+                            rate=self.dropout_rate, rng=rng)
+        return self.ffn(x, self.ln3, self.dropout_rate, rng)
 
 
 def label_smoothed_ce(logits: Tensor, targets, eps_ls: float, pad_id: int) -> Tensor:

@@ -345,39 +345,46 @@ def softmax_last_dim(x: Tensor, mask=None) -> Tensor:
     return record_op(y, (x,), rule)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta_shift: Tensor, eps: float = 1e-6) -> Tensor:
-    """Standardize over the last axis, then apply learned scale and shift."""
-    d = x.data.shape[-1]
-    if gamma.data.shape != (d,) or beta_shift.data.shape != (d,):
+def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta_shift: np.ndarray, eps: float):
+    """Layer norm of the array ``x`` over its last axis: (output, xhat, inv), where xhat is the
+    standardized input and inv the per-row 1 / std; ``layer_norm_backward`` takes the last two."""
+    d = x.shape[-1]
+    if gamma.shape != (d,) or beta_shift.shape != (d,):
         raise ShapeError(
             f"layer_norm gain/shift must have shape ({d},), got {gamma.shape} and {beta_shift.shape}"
         )
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
     # centre once; the same sums and divisions as x.mean and x.var, so the same bits
-    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + eps)
     xhat = xc * inv
-    out = xhat * gamma.data + beta_shift.data
+    return xhat * gamma + beta_shift, xhat, inv
+
+
+def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndarray):
+    """(dx, dgamma, dbeta) of a layer norm given its output gradient ``g``."""
+    d = g.shape[-1]
+    reduce_axes = tuple(range(g.ndim - 1))
+    dgamma = (g * xhat).sum(axis=reduce_axes)
+    dbeta = g.sum(axis=reduce_axes)
+    dxhat = g * gamma
+    # row means as (rows, d) @ (d, 1) GEMVs: numpy's mean over a short
+    # last axis reduces one row at a time, about ten times slower
+    mean_col = np.full((d, 1), 1.0 / d, dtype=dxhat.dtype)
+
+    def row_mean(a):
+        return (a.reshape(-1, d) @ mean_col).reshape(inv.shape)
+
+    dx = inv * (dxhat - row_mean(dxhat) - xhat * row_mean(dxhat * xhat))
+    return dx, dgamma, dbeta
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta_shift: Tensor, eps: float = 1e-6) -> Tensor:
+    """Standardize over the last axis, then apply learned scale and shift."""
     gdata = gamma.data
-
-    def rule(g):
-        reduce_axes = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=reduce_axes)
-        dbeta = g.sum(axis=reduce_axes)
-        dxhat = g * gdata
-        # row means as (rows, d) @ (d, 1) GEMVs: numpy's mean over a short
-        # last axis reduces one row at a time, about ten times slower
-        mean_col = np.full((d, 1), 1.0 / d, dtype=dxhat.dtype)
-
-        def row_mean(a):
-            return (a.reshape(-1, d) @ mean_col).reshape(var.shape)
-
-        dx = inv * (dxhat - row_mean(dxhat) - xhat * row_mean(dxhat * xhat))
-        return dx, dgamma, dbeta
-
-    return record_op(out, (x, gamma, beta_shift), rule)
+    out, xhat, inv = layer_norm_forward(x.data, gdata, beta_shift.data, eps)
+    return record_op(out, (x, gamma, beta_shift), lambda g: layer_norm_backward(g, xhat, inv, gdata))
 
 
 # ---------------------------------------------------------------------------

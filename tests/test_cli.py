@@ -144,6 +144,19 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists() and not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("option,message", [
+        ("model.ln_eps=NaN", "model.ln_eps must be a number, got nan"),
+        ("training.lr_factor=Infinity", "training.lr_factor must be a number, got inf"),
+        ("model.ln_eps=Infinity", "model.ln_eps must be a number, got inf"),
+        ("model.dropout=-Infinity", "model.dropout must be a number, got -inf"),
+    ], ids=["nan_ln_eps", "infinite_lr_factor", "infinite_ln_eps", "negative_infinite_dropout"])
+    def test_non_finite_number_exit_one_before_any_file(self, tmp_path, capsys, option, message):
+        cfg = write_config(tmp_path / "exp.json")
+        out = tmp_path / "finite"
+        assert main(["train", str(cfg), "--out-dir", str(out), "--set", option]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() and not (tmp_path / "run").exists()
+
     def test_wrongly_typed_values_in_the_file_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "exp.json", **{"model.aggregation": "rtal"})
         assert main(["train", str(cfg)]) == 1

@@ -1,24 +1,31 @@
 """Attention, FFN, embeddings, dropout, and the smoothed loss."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from treeformer.diagnostics import check_param_grads
+from treeformer.model import AggregationSpec, ModelConfig, build
 from treeformer.nn import (
     EncoderLayer,
     DecoderLayer,
     FeedForward,
+    LayerNorm,
     Linear,
     MultiHeadAttention,
     Packing,
+    attention_tail,
     dropout,
+    dropout_mask,
+    ffn_sublayer,
     label_smoothed_ce,
     scaled_dot_attention,
     sinusoidal_positions,
 )
-from treeformer.tensor import MaskError, ShapeError, Tape, Tensor, grad_check, mul_elementwise, sum_all
+from treeformer.tasks import make_batch
+from treeformer.tensor import MaskError, ShapeError, Tape, Tensor, add, grad_check, mul_elementwise, sum_all
 
 from oracles import scalar_attention
 
@@ -356,6 +363,13 @@ class TestEmbeddingPieces:
         out = dropout(Tensor(np.ones(100_000)), 0.5, rng)
         assert out.data.mean() == pytest.approx(1.0, abs=0.02)
 
+    def test_dropout_mask_is_drawn_from_float32_uniforms(self):
+        # the stream every run's dropout draws from: a change here changes every training
+        mask = dropout_mask((3, 4), np.float64, 0.25, np.random.default_rng(9))
+        keep = np.random.default_rng(9).random((3, 4), dtype=np.float32) >= 0.25
+        assert mask.dtype == np.float64
+        np.testing.assert_array_equal(mask, np.where(keep, 1.0 / 0.75, 0.0))
+
     def test_dropout_deterministic_under_seed(self):
         a = dropout(Tensor(np.ones(64)), 0.3, np.random.default_rng(9)).data
         b = dropout(Tensor(np.ones(64)), 0.3, np.random.default_rng(9)).data
@@ -479,3 +493,108 @@ class TestBlocks:
 
         errs = check_param_grads(loss_fn, dict(layer.named_parameters("dec")), step=1e-5)
         assert max(errs.values()) <= 1e-5
+
+
+# (N, d) packed rows as training runs them, and (B, T, d) as decoding does
+FUSED_LAYOUTS = {"packed_rows": (7,), "batched": (2, 3)}
+DROPOUT_SEED = 17
+
+
+def _fused_case(kind, layout, dtype):
+    """The op's input x and its layers, with every parameter random; plus, per parameter name,
+    the (object, attribute) that holds it."""
+    rng = np.random.default_rng(50)
+    d, inner = 6, 10
+    lead = FUSED_LAYOUTS[layout]
+
+    def rand(*shape):
+        return rng.standard_normal(shape).astype(dtype)
+
+    x = Tensor(rand(*lead, d), requires_grad=True)
+    if kind == "ffn":
+        norm, ffn = LayerNorm(d, 1e-6, dtype), FeedForward(d, inner, rng, dtype)
+        layers = (norm, ffn)
+        slots = {"gamma": (norm, "gamma"), "beta": (norm, "beta"), "w1": (ffn.lin1, "weight"),
+                 "b1": (ffn.lin1, "bias"), "w2": (ffn.lin2, "weight"), "b2": (ffn.lin2, "bias")}
+    else:
+        # the merged attention heads and the output projection
+        holder = SimpleNamespace(heads=Tensor(rand(*lead, d), requires_grad=True))
+        proj = Linear(d, d, rng, dtype)
+        layers = (holder, proj)
+        slots = {"heads": (holder, "heads"), "w": (proj, "weight"), "b": (proj, "bias")}
+    for obj, attr in slots.values():
+        getattr(obj, attr).data = rand(*getattr(obj, attr).shape)
+    return x, layers, slots
+
+
+def _fused(kind, x, layers, rate, rng):
+    a, b = layers
+    return ffn_sublayer(x, a, b, rate, rng) if kind == "ffn" else attention_tail(x, a.heads, b, rate, rng)
+
+
+def _chain(kind, x, layers, rate, rng):
+    """The taped chain the fused op replaces."""
+    a, b = layers
+    inner = b(a(x)) if kind == "ffn" else b(a.heads)
+    return add(x, dropout(inner, rate, rng))
+
+
+def _output_and_grads(op, x, layers, slots, rng_seed):
+    inputs = [x] + [getattr(*slot) for slot in slots.values()]
+    for t in inputs:
+        t.grad = None
+    rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+    with Tape() as tape:
+        out = op(x, layers, 0.3, rng)
+        w = np.random.default_rng(1).standard_normal(out.shape).astype(out.dtype)
+        loss = sum_all(mul_elementwise(out, Tensor(w)))
+    tape.backward(loss)
+    return out.data, [t.grad for t in inputs]
+
+
+class TestFusedSublayers:
+    """ffn_sublayer and attention_tail against the taped chains they replace."""
+
+    @pytest.mark.parametrize("rng_seed", [DROPOUT_SEED, None], ids=["dropout", "no_rng"])
+    @pytest.mark.parametrize("layout", list(FUSED_LAYOUTS))
+    @pytest.mark.parametrize("kind", ["ffn", "attention"])
+    def test_float32_output_and_gradients_equal_the_chain_bit_for_bit(self, kind, layout, rng_seed):
+        x, layers, slots = _fused_case(kind, layout, np.float32)
+        fused_out, fused_grads = _output_and_grads(
+            lambda *a: _fused(kind, *a), x, layers, slots, rng_seed)
+        chain_out, chain_grads = _output_and_grads(
+            lambda *a: _chain(kind, *a), x, layers, slots, rng_seed)
+        if rng_seed is not None:   # dropout is active: some units are dropped
+            assert not np.array_equal(chain_out, _chain(kind, x, layers, 0.3, None).data)
+        names = ["out", "x", *slots]
+        for name, fused, chain in zip(names, [fused_out] + fused_grads, [chain_out] + chain_grads):
+            assert fused.dtype == chain.dtype == np.float32 and fused.shape == chain.shape, name
+            assert fused.tobytes() == chain.tobytes(), name
+
+    @pytest.mark.parametrize("layout", list(FUSED_LAYOUTS))
+    @pytest.mark.parametrize("kind,name", [("ffn", n) for n in ("x", "gamma", "beta", "w1", "b1", "w2", "b2")]
+                             + [("attention", n) for n in ("x", "heads", "w", "b")])
+    def test_float64_grad_check_of_every_input_with_dropout(self, kind, name, layout):
+        x, layers, slots = _fused_case(kind, layout, np.float64)
+        slot = slots.get(name)   # None for x
+        start = x if slot is None else getattr(*slot)
+
+        def f(t):
+            if slot is not None:
+                setattr(*slot, t)
+            # a fresh generator per evaluation, so every evaluation drops the same units
+            return _fused(kind, t if slot is None else x, layers, 0.3, np.random.default_rng(DROPOUT_SEED))
+
+        assert grad_check(f, Tensor(start.data)) <= 1e-5
+
+    @pytest.mark.parametrize("structure,formula,records", [("rtal", "ewp_ffn", 116), ("none", "mean", 94)])
+    def test_tape_records_of_one_training_step_are_pinned(self, structure, formula, records):
+        # the acceptance config, on a batch with padding as training batches have
+        model = build(ModelConfig(num_layers=4, d_model=64, num_heads=4, d_ff=256, vocab_size=16,
+                                  max_len=32, dropout=0.1,
+                                  aggregation=AggregationSpec(structure, formula, "both")))
+        batch = make_batch([((3, 4, 5, 6), (6, 5, 4, 3)), ((7, 8), (8, 7))])
+        with Tape() as tape:
+            logits = model.forward_train(batch, np.random.default_rng(0))
+            label_smoothed_ce(logits, batch.tgt_out, 0.1, batch.pad_id)
+        assert len(tape) == records

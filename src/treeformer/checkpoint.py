@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 import zlib
 from dataclasses import dataclass
@@ -138,9 +139,10 @@ def average_checkpoints(checkpoints: Sequence[Checkpoint]) -> Checkpoint:
 
 
 def list_checkpoints(directory) -> List[str]:
-    """Checkpoint files in ``directory`` sorted by ascending step."""
+    """Checkpoint files ``step_<n>.ckpt`` in ``directory`` sorted by ascending step n
+    (by number: ``step_1000000`` comes after ``step_999999``)."""
     directory = os.fspath(directory)
     if not os.path.isdir(directory):
         return []
-    names = [n for n in os.listdir(directory) if n.startswith("step_") and n.endswith(".ckpt")]
-    return [os.path.join(directory, n) for n in sorted(names)]
+    names = [n for n in os.listdir(directory) if re.fullmatch(r"step_\d+\.ckpt", n)]
+    return [os.path.join(directory, n) for n in sorted(names, key=lambda n: (int(n[5:-5]), n))]

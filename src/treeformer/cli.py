@@ -2,7 +2,8 @@
 
 Experiment configs are flat JSON files with ``model``, ``task``, ``training``
 sections plus ``seed`` and ``out_dir``; ``--set dotted.key=value`` overrides
-any field.  Exit codes: 0 success, 1 usage/config error, 2 numerical failure.
+any field.  Exit codes: 0 success, 1 usage/config error (a path that cannot be
+read or written included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -363,7 +364,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -7,7 +7,7 @@ differences are compared against tape gradients coordinate by coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import List
 
 import numpy as np
 
@@ -15,28 +15,7 @@ from . import aggregation
 from .model import AggregationSpec, ModelConfig, build
 from .nn import FeedForward, LayerNorm, MultiHeadAttention, label_smoothed_ce
 from .tasks import make_batch
-from .tensor import (Tape, Tensor, finite_difference_error, grad_check, mul_elementwise,
-                     softmax_last_dim, sum_all)
-
-
-def check_param_grads(loss_fn: Callable[[], Tensor], params: Dict[str, Tensor],
-                      step: float = 1e-5) -> Dict[str, float]:
-    """Per-parameter max relative error of tape grads vs central differences.
-
-    ``loss_fn`` must be deterministic and read the live ``params`` tensors;
-    coordinates are perturbed in place between evaluations.
-    """
-    for p in params.values():
-        p.grad = None
-    with Tape() as tape:
-        loss = loss_fn()
-    tape.backward(loss)
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
-    return {name: finite_difference_error(lambda: loss_fn().item(), p.data, analytic[name], step)
-            for name, p in params.items()}
+from .tensor import Tensor, check_param_grads, grad_check, projected, softmax_last_dim
 
 
 @dataclass
@@ -50,14 +29,9 @@ class SuiteResult:
         return self.max_err <= self.threshold
 
 
-def _projected(out: Tensor) -> Tensor:
-    w = np.random.default_rng(7).standard_normal(out.data.shape)
-    return sum_all(mul_elementwise(out, Tensor(w)))
-
-
 def _case_block(name, forward, params, x0, step, threshold, results):
     err_x = grad_check(forward, Tensor(x0), step)
-    errs = check_param_grads(lambda: _projected(forward(Tensor(x0))), params, step)
+    errs = check_param_grads(lambda: projected(forward(Tensor(x0)), 7), params, step)
     worst = max([err_x] + list(errs.values()))
     results.append(SuiteResult(name, worst, threshold))
 
@@ -111,7 +85,7 @@ def gradient_suite(step: float = 1e-5, threshold: float = 1e-5) -> List[SuiteRes
     leaves = [Tensor(rng.standard_normal((1, 2, 4)), requires_grad=True) for _ in range(4)]
     tree_params = dict(tree.named_parameters("tree"))
     tree_params.update({f"leaf.{i}": leaf for i, leaf in enumerate(leaves)})
-    errs = check_param_grads(lambda: _projected(tree.apply(leaves)), tree_params, step)
+    errs = check_param_grads(lambda: projected(tree.apply(leaves), 7), tree_params, step)
     results.append(SuiteResult("rtal_tree_4_leaves", max(errs.values()), threshold))
 
     results.append(_full_path_case(step, threshold))

@@ -14,7 +14,7 @@ sum over leading axes.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -391,45 +391,51 @@ def layer_norm(x: Tensor, gamma: Tensor, beta_shift: Tensor, eps: float = 1e-6) 
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def grad_check(f, x, step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+def projected(y: Tensor, seed: int) -> Tensor:
+    """``y`` contracted with a fixed standard-normal projection drawn from ``seed``, so the
+    scalar's gradient exercises the full jacobian even where ``y`` has constant reductions
+    (softmax rows, for instance)."""
+    w = np.random.default_rng(seed).standard_normal(y.data.shape)
+    return sum_all(mul_elementwise(y, Tensor(w)))
 
-    ``f`` must be a deterministic Tensor -> Tensor function.  Its output is
-    contracted with a fixed random projection so the check exercises the
-    full jacobian even when the output has constant reductions (softmax
-    rows, for instance).  Runs in double precision; returns
-    max_i |analytic_i - numeric_i| / max(|analytic_i|, |numeric_i|, 1e-8).
+
+def check_param_grads(loss_fn, params: Dict[str, Tensor], step: float = 1e-5) -> Dict[str, float]:
+    """Per-tensor max relative error of tape gradients against central differences.
+
+    ``loss_fn()`` must be a deterministic scalar Tensor reading the live ``params``: one tape
+    pass gives the analytic gradients, then each coordinate is perturbed in place by +-step.
+    Returns, per name, max_i |analytic_i - numeric_i| / max(|analytic_i|, |numeric_i|, 1e-8).
     """
-    x0 = np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
-    probe = Tensor(x0.copy(), requires_grad=True)
+    for p in params.values():
+        p.grad = None
     with Tape() as tape:
-        y = f(probe)
-        w = np.random.default_rng(0).standard_normal(y.data.shape)
-        loss = sum_all(mul_elementwise(y, Tensor(w)))
+        loss = loss_fn()
     tape.backward(loss)
-    analytic = probe.grad if probe.grad is not None else np.zeros_like(x0)
-    return finite_difference_error(lambda: float((f(Tensor(x0)).data * w).sum()), x0, analytic, step)
+    errors = {}
+    for name, p in params.items():
+        x = p.data
+        analytic = p.grad if p.grad is not None else np.zeros_like(x)
+        # indexed in place, not through reshape(-1), which copies an x that is not C-ordered
+        # (np.array of a broadcast view is not): the copy's perturbations never reach loss_fn
+        numeric = np.zeros(x.shape, dtype=x.dtype)
+        for i in np.ndindex(x.shape):
+            orig = x[i]
+            x[i] = orig + step
+            hi = loss_fn().item()
+            x[i] = orig - step
+            lo = loss_fn().item()
+            x[i] = orig
+            numeric[i] = (hi - lo) / (2.0 * step)
+        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+        rel = np.abs(analytic - numeric) / denom
+        errors[name] = float(rel.max()) if rel.size else 0.0
+    return errors
 
 
-def finite_difference_error(objective, x: np.ndarray, analytic: np.ndarray, step: float) -> float:
-    """Max relative error of ``analytic`` against central differences of ``objective``.
-
-    ``objective()`` returns a float and must read ``x`` live: each coordinate
-    of ``x`` is perturbed in place by +-step and restored.  Returns
-    max_i |analytic_i - numeric_i| / max(|analytic_i|, |numeric_i|, 1e-8).
-    """
-    # indexed in place, not through reshape(-1): that copies an x that is not
-    # C-ordered (np.array of a broadcast view is not), and the copy's
-    # perturbations never reach the objective
-    numeric = np.zeros(x.shape, dtype=x.dtype)
-    for i in np.ndindex(x.shape):
-        orig = x[i]
-        x[i] = orig + step
-        hi = objective()
-        x[i] = orig - step
-        lo = objective()
-        x[i] = orig
-        numeric[i] = (hi - lo) / (2.0 * step)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    rel = np.abs(analytic - numeric) / denom
-    return float(rel.max()) if rel.size else 0.0
+def grad_check(f, x, step: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients of ``f`` at ``x``:
+    ``check_param_grads`` of the seed-0 projection of the deterministic Tensor -> Tensor
+    function ``f`` at a double-precision probe of ``x``."""
+    probe = Tensor(np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64),
+                   requires_grad=True)
+    return check_param_grads(lambda: projected(f(probe), 0), {"x": probe}, step)["x"]

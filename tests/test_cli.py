@@ -35,6 +35,15 @@ def write_config(path, **overrides):
     return path
 
 
+def files_under(root):
+    return sorted(root.rglob("*"))
+
+
+def assert_one_error_line_naming(capsys, path):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(path) in lines[0], lines
+
+
 class TestParams:
     def test_reports_toy_counts(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "exp.json")
@@ -67,6 +76,14 @@ class TestParams:
         err = capsys.readouterr().err
         assert err == "error: section 'model.aggregation' must be an object\n"
         assert not json_out.exists()
+
+    def test_directory_as_config_exit_one(self, tmp_path, capsys):
+        config_dir = tmp_path / "configs"
+        config_dir.mkdir()
+        before = files_under(tmp_path)
+        assert main(["params", f"{config_dir}/"]) == 1
+        assert_one_error_line_naming(capsys, config_dir)
+        assert files_under(tmp_path) == before
 
 
 class TestTrain:
@@ -166,6 +183,15 @@ class TestTrain:
     def test_missing_config_exit_one(self, capsys):
         assert main(["train", "/nonexistent/exp.json"]) == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_out_dir_under_a_file_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "exp.json")
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        before = files_under(tmp_path)
+        assert main(["train", str(cfg), "--out-dir", str(blocker / "sub")]) == 1
+        assert_one_error_line_naming(capsys, blocker / "sub")
+        assert files_under(tmp_path) == before
 
     def test_task_without_train_sources_exit_one(self, tmp_path, capsys):
         # one symbol and one length: the only source, (3,) * 13, falls in the valid split
@@ -313,6 +339,15 @@ class TestDecodeAverage:
         assert main(["decode", str(run_dir), str(inputs), "--output", str(tmp_path / "e.out")]) == 1
         err = capsys.readouterr().err
         assert str(newest) in err and "truncated" in err
+
+    def test_decode_directory_as_input_exit_one(self, run_dir, tmp_path, capsys):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        capsys.readouterr()   # the fixture's training output
+        before = files_under(tmp_path)
+        assert main(["decode", str(run_dir), f"{inputs}/"]) == 1
+        assert_one_error_line_naming(capsys, inputs)
+        assert files_under(tmp_path) == before
 
 
     # the run's model has vocab_size 12 and max_len 24

@@ -10,12 +10,14 @@ from treeformer.tensor import (
     Tape,
     Tensor,
     add,
+    check_param_grads,
     concat_last_dim,
     embedding_lookup,
     grad_check,
     layer_norm,
     matmul,
     mul_elementwise,
+    record_op,
     relu,
     reshape,
     scale,
@@ -367,6 +369,32 @@ class TestGradCheck:
                          (lambda t: matmul(Tensor(rows), t, Tensor(bias)), weight),
                          (lambda t: matmul(Tensor(rows), Tensor(weight), t), bias)]:
             assert grad_check(f, Tensor(point), step=1e-2) <= 1e-8
+
+    # negative controls: the oracle must see a wrong or missing backward rule
+    def test_gradient_one_percent_off_is_caught(self):
+        def f(t):
+            return record_op(np.sin(t.data), (t,), lambda g: (1.01 * g * np.cos(t.data),))
+
+        # every coordinate reads 0.01 / 1.01
+        assert 5e-3 <= grad_check(f, Tensor(np.linspace(-1, 1, 6))) <= 2e-2
+
+    def test_missing_gradient_reads_one(self):
+        def f(t):
+            return record_op(np.sin(t.data), (t,), lambda g: (None,))
+
+        assert grad_check(f, Tensor(np.linspace(-1, 1, 6))) == 1.0
+
+    def test_param_check_names_the_tensor_without_gradient(self):
+        a = Tensor(np.array([0.5, -1.5, 2.0]), requires_grad=True)
+        b = Tensor(np.array([1.0, -0.75, 0.25]), requires_grad=True)
+
+        def loss_fn():
+            blind_b = record_op(b.data.copy(), (b,), lambda g: (None,))
+            return sum_all(mul_elementwise(a, blind_b))
+
+        errs = check_param_grads(loss_fn, {"a": a, "b": b})
+        assert errs["b"] == 1.0
+        assert errs["a"] <= 1e-8
 
     def test_embedding_table_gradient(self):
         ids = np.array([[0, 2], [2, 1]])

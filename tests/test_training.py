@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from treeformer.checkpoint import Checkpoint, average_checkpoints, load_checkpoint
+from treeformer.checkpoint import Checkpoint, average_checkpoints, list_checkpoints, load_checkpoint
 from treeformer.model import AggregationSpec, ConfigError, ModelConfig, build, config_digest
 from treeformer.tasks import SyntheticTask
 from treeformer import training
@@ -179,6 +179,14 @@ class TestAveraging:
             average_checkpoints([a, c])
         with pytest.raises(ValueError):
             average_checkpoints([])
+
+    def test_list_checkpoints_sorts_by_step_number(self, tmp_path):
+        names = ["step_999999.ckpt", "step_000007.ckpt.tmp", "notes.txt", "step_1000000.ckpt",
+                 "step_000005.ckpt"]
+        for name in names:
+            (tmp_path / name).write_bytes(b"")
+        assert list_checkpoints(tmp_path) == [
+            str(tmp_path / n) for n in ("step_000005.ckpt", "step_999999.ckpt", "step_1000000.ckpt")]
 
 
 def _toy_setup(structure="none", formula="mean", seed=0):

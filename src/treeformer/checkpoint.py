@@ -8,14 +8,16 @@ Layout (all integers little-endian):
           end after the last record and are still read)
 
 Float payloads round-trip bit-exactly.  Writes go through a temp file and
-an atomic rename.  A file that ends early or has another format version
-raises ``CheckpointError``, as does a length field that runs past the end
-of the file, a record name that is not UTF-8, bytes after the last record,
-or a CRC32 that does not match (a flipped payload byte).
+an atomic rename; a write or rename that fails removes the temp file.  A
+file that ends early or has another format version raises
+``CheckpointError``, as does a length field that runs past the end of the
+file, a record name that is not UTF-8, bytes after the last record, or a
+CRC32 that does not match (a flipped payload byte).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
@@ -47,22 +49,29 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
     path = os.fspath(path)
     tmp = path + ".tmp"
     crc = 0
-    with open(tmp, "wb") as fh:
-        def write(raw) -> None:
-            nonlocal crc
-            crc = zlib.crc32(raw, crc)
-            fh.write(raw)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            def write(raw) -> None:
+                nonlocal crc
+                crc = zlib.crc32(raw, crc)
+                fh.write(raw)
 
-        write(struct.pack("<I", FORMAT_VERSION) + checkpoint.config_digest +
-              struct.pack("<QI", checkpoint.step, len(checkpoint.params)))
-        for name, value in checkpoint.params.items():
-            raw = name.encode("utf-8")
-            # ascontiguousarray would promote rank-0 values to rank 1
-            arr = np.asarray(value, dtype="<f4", order="C")
-            write(struct.pack(f"<I{len(raw)}sI{arr.ndim}Q", len(raw), raw, arr.ndim, *arr.shape))
-            write(arr)   # the array's own buffer: no tobytes copy
-        fh.write(struct.pack("<I", crc))
-    os.replace(tmp, path)
+            write(struct.pack("<I", FORMAT_VERSION) + checkpoint.config_digest +
+                  struct.pack("<QI", checkpoint.step, len(checkpoint.params)))
+            for name, value in checkpoint.params.items():
+                raw = name.encode("utf-8")
+                # ascontiguousarray would promote rank-0 values to rank 1
+                arr = np.asarray(value, dtype="<f4", order="C")
+                write(struct.pack(f"<I{len(raw)}sI{arr.ndim}Q", len(raw), raw, arr.ndim, *arr.shape))
+                write(arr)   # the array's own buffer: no tobytes copy
+            fh.write(struct.pack("<I", crc))
+        os.replace(tmp, path)
+    except BaseException:
+        # a failed write or rename leaves no temp file behind
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -232,7 +232,7 @@ class Seq2SeqModel(Module):
                 raise ConfigError(
                     f"shape mismatch for {name}: checkpoint {value.shape} vs model {p.data.shape}"
                 )
-            p.data = np.asarray(value, dtype=self.dtype)
+            p.data[...] = value   # into the live array: it may be a view of Adam's flat vector
 
     # -- forward passes -----------------------------------------------------
 

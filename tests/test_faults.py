@@ -6,6 +6,7 @@ Through the CLI each fault exits 1 with the path on stderr.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -89,6 +90,20 @@ class TestCorruptCheckpoint:
             np.testing.assert_array_equal(loaded.params[name], value)
 
 
+
+class TestFailedSave:
+    def test_failed_rename_removes_the_temp_file(self, ckpt_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError(f"simulated rename failure {src} -> {dst}")
+
+        ckpt = load_checkpoint(ckpt_path)
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="simulated rename failure"):
+            save_checkpoint(ckpt_path.parent / "next.ckpt", ckpt)
+        monkeypatch.undo()
+        assert sorted(p.name for p in ckpt_path.parent.iterdir()) == [ckpt_path.name]
+
+
 def _train_run():
     config = ModelConfig(num_layers=2, d_model=8, num_heads=2, d_ff=16, vocab_size=12, max_len=16,
                          aggregation=AggregationSpec("rtal", "ewp_ffn", "both"))
@@ -163,6 +178,14 @@ class TestCliFaults:
         _flip(newest, PAYLOAD_AT + 5)
         assert self._decode(run_dir) == 1
         assert str(newest) in capsys.readouterr().err
+
+    def test_average_onto_a_directory_leaves_no_temp_file(self, run_dir, capsys):
+        target = run_dir.parent / "averaged"
+        target.mkdir()
+        before = sorted(run_dir.parent.rglob("*"))
+        assert main(["average", str(run_dir), "--k", "1", "--output", f"{target}/"]) == 1
+        assert str(target) in capsys.readouterr().err
+        assert sorted(run_dir.parent.rglob("*")) == before
 
     def test_resume_without_newest_optimizer_state(self, run_dir, capsys):
         optim = run_dir / "checkpoints" / "step_000004.optim"

@@ -106,6 +106,154 @@ class TestAdam:
             assert np.abs(p.data - before).max() <= lr * (1 + correction)
 
 
+def reference_adam_step(state, params, lr):
+    """The per-tensor Adam loop, kept as the bit-for-bit reference for ``adam_step``."""
+    for name, p in params.items():
+        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+            raise NumericalError(f"non-finite gradient for parameter {name!r}")
+    state.step += 1
+    t = state.step
+    b1, b2 = state.beta1, state.beta2
+    bias1 = 1.0 - b1 ** t
+    bias2 = 1.0 - b2 ** t
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m = state.m[name]
+        v = state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        update = lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        p.data = p.data - update.astype(p.data.dtype)
+
+
+def _rtal_params():
+    config, _ = _toy_setup(structure="rtal", formula="ewp_ffn")
+    return build(config).parameters()
+
+
+def _twin(params):
+    """Copies of ``params`` and a fresh state for each, to run beside the reference."""
+    ref = {n: Tensor(p.data.copy(), requires_grad=True) for n, p in params.items()}
+    return adam_init(params), ref, adam_init(ref)
+
+
+def _set_grads(rng, params, ref=None, none_rate=0.0):
+    """Random gradients (``None`` at ``none_rate``) for ``params`` and copies for ``ref``."""
+    for name, p in params.items():
+        g = None if rng.random() < none_rate else rng.standard_normal(p.data.shape).astype(p.data.dtype)
+        p.grad = g
+        if ref is not None:
+            ref[name].grad = None if g is None else g.copy()
+
+
+def _assert_same(state, params, ref_state, ref):
+    assert state.step == ref_state.step
+    for name, p in params.items():
+        np.testing.assert_array_equal(p.data, ref[name].data)
+        np.testing.assert_array_equal(state.m[name], ref_state.m[name])
+        np.testing.assert_array_equal(state.v[name], ref_state.v[name])
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("make_params, none_rate", [
+        (_rtal_params, 0.2),
+        (lambda: {"w": Tensor(np.random.default_rng(8).standard_normal((5, 3)), requires_grad=True)}, 0.0),
+    ], ids=["rtal-float32", "single-float64"])
+    def test_matches_per_tensor_loop(self, make_params, none_rate):
+        params = make_params()
+        state, ref, ref_state = _twin(params)
+        rng = np.random.default_rng(9)
+        for step in range(1, 51):
+            _set_grads(rng, params, ref, none_rate)
+            lr = lr_schedule(step, 16, 10)
+            adam_step(state, params, lr)
+            reference_adam_step(ref_state, ref, lr)
+            _assert_same(state, params, ref_state, ref)
+
+    def test_parameters_and_moments_are_views_of_one_vector_each(self):
+        params = _rtal_params()
+        state = adam_init(params)
+        _set_grads(np.random.default_rng(10), params)
+        adam_step(state, params, 0.01)
+        first = next(iter(params))
+        vectors = [params[first].data.base, state.m[first].base, state.v[first].base]
+        total = sum(p.data.size for p in params.values())
+        assert [vec.shape for vec in vectors] == [(total,)] * 3
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(vectors) for b in vectors[i + 1:])
+        for name, p in params.items():
+            for array, vec in zip((p.data, state.m[name], state.v[name]), vectors):
+                assert np.shares_memory(array, vec), name
+
+    def test_rebound_arrays_are_flattened_again(self):
+        params = _rtal_params()
+        state, ref, ref_state = _twin(params)
+        rng = np.random.default_rng(11)
+        names = list(params)
+        for step in range(1, 31):
+            if step == 10:   # a caller rebinds one parameter to fresh values
+                fresh = rng.standard_normal(params[names[3]].data.shape).astype(np.float32)
+                params[names[3]].data, ref[names[3]].data = fresh, fresh.copy()
+            if step == 20:   # and resume rebinds the moments
+                fresh = rng.random(params[names[-1]].data.shape).astype(np.float32)
+                state.v[names[-1]], ref_state.v[names[-1]] = fresh, fresh.copy()
+            _set_grads(rng, params, ref, 0.1)
+            adam_step(state, params, 0.01)
+            reference_adam_step(ref_state, ref, 0.01)
+            _assert_same(state, params, ref_state, ref)
+        assert np.shares_memory(params[names[3]].data, params[names[0]].data.base)
+        assert np.shares_memory(state.v[names[-1]], state.v[names[0]].base)
+
+    def test_inf_pair_in_last_parameter_changes_no_state(self):
+        params = _rtal_params()
+        state = adam_init(params)
+        rng = np.random.default_rng(12)
+        _set_grads(rng, params)
+        adam_step(state, params, 0.01)   # flattened, with non-zero moments
+        _set_grads(rng, params)
+        last = list(params)[-1]
+        bad = params[last].grad.reshape(-1)
+        bad[0], bad[-1] = np.inf, -np.inf
+        before = {n: (p.data.copy(), state.m[n].copy(), state.v[n].copy()) for n, p in params.items()}
+        with pytest.raises(NumericalError, match=f"'{last}'"):
+            adam_step(state, params, 0.01)
+        assert state.step == 1
+        for name, p in params.items():
+            for saved, live in zip(before[name], (p.data, state.m[name], state.v[name])):
+                np.testing.assert_array_equal(live, saved)
+
+    def test_finite_gradients_whose_sum_overflows_take_the_step(self):
+        params = {n: Tensor(np.ones(3, np.float32), requires_grad=True) for n in "ab"}
+        state, ref, ref_state = _twin(params)
+        for p in (*params.values(), *ref.values()):
+            p.grad = np.array([3e38, 0.5, 3e38], np.float32)
+        with np.errstate(over="ignore"):   # g * g overflows v to inf, so those entries stay put
+            adam_step(state, params, 0.01)
+            reference_adam_step(ref_state, ref, 0.01)
+        _assert_same(state, params, ref_state, ref)
+        assert state.step == 1 and params["a"].data[1] < 1
+
+    def test_mixed_dtypes_name_the_parameter(self):
+        params = {"a": Tensor(np.zeros(2, np.float32), requires_grad=True),
+                  "b": Tensor(np.zeros(2, np.float64), requires_grad=True)}
+        with pytest.raises(ValueError, match="'b'"):
+            adam_step(adam_init(params), params, 0.01)
+
+    def test_load_state_copies_into_the_live_arrays(self):
+        config, _ = _toy_setup(structure="rtal", formula="ewp_ffn")
+        model = build(config)
+        snapshot = {n: v.copy() for n, v in model.state_dict().items()}
+        params = model.parameters()
+        state = adam_init(params)
+        _set_grads(np.random.default_rng(13), params)
+        adam_step(state, params, 0.01)
+        live = {n: p.data for n, p in params.items()}
+        model.load_state(snapshot)
+        for name, p in params.items():
+            assert p.data is live[name]
+            np.testing.assert_array_equal(p.data, snapshot[name])
+
 class TestSchedule:
     def test_continuity_at_warmup_knee(self):
         warmup = 4000
@@ -273,6 +421,20 @@ class TestTrainLoop:
         assert final_a.step == final_b.step == 30
         for name in final_a.params:
             np.testing.assert_array_equal(final_a.params[name], final_b.params[name])
+        assert strip_wall(read_metrics(uninterrupted.metrics_path)) == \
+            strip_wall(read_metrics(resumed.metrics_path))
+
+    def test_resume_after_flattening_is_byte_identical(self, tmp_path):
+        # the first run's Adam flattened its parameters; the resumed one starts from load_state
+        config, task = _toy_setup(structure="rtal", formula="ewp_ffn")
+        full_spec = TrainingSpec(steps=8, batch_tokens=64, checkpoint_every=4)
+        uninterrupted = train(build(config), task, full_spec, tmp_path / "full", seed=3)
+        train(build(config), task, TrainingSpec(steps=4, batch_tokens=64, checkpoint_every=4),
+              tmp_path / "split", seed=3)
+        resumed = train(build(config), task, full_spec, tmp_path / "split", seed=3, resume=True)
+        for name in ("step_000008.ckpt", "step_000008.optim"):
+            assert (tmp_path / "full" / "checkpoints" / name).read_bytes() == \
+                (tmp_path / "split" / "checkpoints" / name).read_bytes(), name
         assert strip_wall(read_metrics(uninterrupted.metrics_path)) == \
             strip_wall(read_metrics(resumed.metrics_path))
 

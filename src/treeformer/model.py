@@ -22,6 +22,7 @@ import numpy as np
 from . import aggregation
 from .aggregation import tree_span  # noqa: F401  (public here as model.tree_span)
 from .nn import (
+    AttentionMask,
     DecoderLayer,
     Embedding,
     EncoderLayer,
@@ -251,7 +252,7 @@ class Seq2SeqModel(Module):
         returns (memory, source visibility mask)."""
         src = np.asarray(src)
         visible = src != pad_id                       # (B, S)
-        attn_mask = visible[:, None, None, :]         # (B, 1, 1, S)
+        attn_mask = AttentionMask.of(visible[:, None, None, :], self.dtype)
         pack = pack or Packing(src.shape)
         self._check_length(src.shape[-1])
         x = self._embed(pack.gather(src), pack.positions, rng)
@@ -277,7 +278,8 @@ class Seq2SeqModel(Module):
             y = self._embed(packs[0].gather(tgt_in), packs[0].positions, rng)
         else:
             y = self._embed(tgt_in[:, t - 1:], slice(t - 1, t), rng)
-        cross_mask = src_visible[:, None, None, :]
+        self_mask = AttentionMask.of(self_mask, self.dtype)
+        cross_mask = AttentionMask.of(src_visible[:, None, None, :], self.dtype)
         y = self.decoder(y, lambda i, layer, y: layer(
             y, memory, self_mask, cross_mask, rng, cross_kv and cross_kv[i], packs, self_kv and self_kv[i]), rng)
         logits = matmul(y, transpose_last_two(self.embedding.weight))

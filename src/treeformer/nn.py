@@ -18,7 +18,6 @@ from .tensor import (
     ShapeError,
     Tensor,
     embedding_lookup,
-    _sum_to_suffix,
     layer_norm,
     layer_norm_backward,
     layer_norm_forward,
@@ -26,6 +25,7 @@ from .tensor import (
     mul_elementwise,
     record_op,
     relu,
+    sum_rows,
 )
 
 NamedParams = Iterator[Tuple[str, Tensor]]
@@ -132,7 +132,7 @@ def _residual_linear(x: Tensor, rows: np.ndarray, lin: Linear, rate: float, rng)
     def backward(g):
         gf = g if mask is None else g * mask
         g2 = gf.reshape(len(rows), -1)
-        return g2 @ w.T, rows.T @ g2, _sum_to_suffix(b.shape, gf)
+        return g2 @ w.T, rows.T @ g2, sum_rows(g2)
 
     return x.data + f, backward
 
@@ -165,8 +165,7 @@ def ffn_sublayer(x: Tensor, norm: LayerNorm, ffn: FeedForward, rate: float, rng)
         gr, gw2, gb2 = tail(g)
         gr *= r > 0
         dx, dgamma, dbeta = layer_norm_backward((gr @ w1.T).reshape(xhat.shape), xhat, inv, gamma)
-        gb1 = _sum_to_suffix(b1.shape, gr.reshape(xhat.shape[:-1] + b1.shape))
-        return g + dx, dgamma, dbeta, rows.T @ gr, gb1, gw2, gb2
+        return g + dx, dgamma, dbeta, rows.T @ gr, sum_rows(gr), gw2, gb2
 
     return record_op(out, (x, norm.gamma, norm.beta, ffn.lin1.weight, ffn.lin1.bias,
                            ffn.lin2.weight, ffn.lin2.bias), rule)
@@ -206,6 +205,23 @@ class Packing(NamedTuple):
         return x if self.rows is None else record_op(self.scatter(x.data), (x,), lambda g: (self.gather(g),))
 
 
+class AttentionMask(NamedTuple):
+    """A visibility mask checked once and laid out as the softmax reads it: key axis first, as an
+    additive bias of -0.0 at a visible key (x + -0.0 is x, signed zeros included) and -inf at a
+    hidden one.  A model builds one per batch and passes it to every attention op."""
+    bias: np.ndarray
+
+    @classmethod
+    def of(cls, mask, dtype=np.float32) -> "AttentionMask":
+        """``mask``: boolean, broadcastable to the scores' (..., num_heads, Tq, Tk), True at a
+        visible key.  A query row with no visible key raises MaskError."""
+        m = np.asarray(mask, dtype=bool)
+        if not m.any(axis=-1).all():
+            raise MaskError("softmax row is fully masked")
+        visible, hidden = np.array([-0.0, -np.inf], dtype=dtype)
+        return cls(np.where(np.moveaxis(m, -1, 0), visible, hidden))
+
+
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None, num_heads: int = 1,
                          packs: Optional[Tuple[Packing, Packing]] = None) -> Tensor:
     """Multi-head softmax(q k^T / sqrt(d_head)) v as one taped op.
@@ -217,10 +233,11 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None, num_heads: 
     are packed (N, d) rows: they are scattered into zero-filled (B, T, d)
     here, and the output and the gradients are gathered back to rows; without
     ``packs`` they are used as they are.
-    ``mask`` is a boolean array broadcastable to (..., num_heads, Tq, Tk);
-    True marks a visible key.  A query row with no visible key raises
-    MaskError.  The backward rule is the closed form
-    dS = P * (dP - rowsum(dP * P)) (FlashAttention, Dao et al. 2022).
+    ``mask`` is an ``AttentionMask`` or a boolean array broadcastable to
+    (..., num_heads, Tq, Tk), True at a visible key, which is checked and
+    laid out here.  A query row with no visible key raises MaskError.
+    The backward rule is the closed form dS = P * (dP - rowsum(dP * P))
+    (FlashAttention, Dao et al. 2022).
     """
     qp, kvp = packs or (None, None)
     qd, kd, vd = (q.data, k.data, v.data) if packs is None else \
@@ -252,11 +269,8 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None, num_heads: 
     factor = 1.0 / math.sqrt(head_dim)
     pk *= factor
     if mask is not None:
-        m = np.asarray(mask, dtype=bool)
-        if not m.any(axis=-1).all():
-            raise MaskError("softmax row is fully masked")
-        m = m.reshape((1,) * (n - m.ndim) + m.shape)
-        np.copyto(pk, -np.inf, where=~m.transpose(to_keys))
+        bias = (mask if isinstance(mask, AttentionMask) else AttentionMask.of(mask, pk.dtype)).bias
+        pk += bias.reshape(bias.shape[:1] + (1,) * (n - bias.ndim) + bias.shape[1:])
     pk -= pk.max(axis=0)
     np.exp(pk, out=pk)
     pk /= pk.sum(axis=0)

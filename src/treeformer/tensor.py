@@ -13,6 +13,7 @@ sum over leading axes.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Dict, Optional, Sequence
 
@@ -153,11 +154,17 @@ def _check_suffix_broadcast(a_shape: tuple, b_shape: tuple) -> None:
         )
 
 
+def sum_rows(g: np.ndarray) -> np.ndarray:
+    """Column sums of the 2-D ``g`` as one ``ones @ g`` GEMV: numpy's sum over a leading axis
+    runs several times slower on the short rows of a (tokens, d_model) gradient."""
+    return np.ones(len(g), dtype=g.dtype) @ g
+
+
 def _sum_to_suffix(shape: tuple, g: np.ndarray) -> np.ndarray:
     """Reduce a gradient to ``shape`` by summing broadcast leading axes."""
     extra = g.ndim - len(shape)
     if extra:
-        g = g.sum(axis=tuple(range(extra)))
+        g = sum_rows(g.reshape(math.prod(g.shape[:extra]), math.prod(shape))).reshape(shape)
     return g
 
 
@@ -166,9 +173,7 @@ def _sum_to_shape(shape: tuple, g: np.ndarray) -> np.ndarray:
 
     Needed for matmul batch dimensions, which numpy broadcasts generally.
     """
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
+    g = _sum_to_suffix(g.shape[g.ndim - len(shape):], g)
     ones = tuple(i for i, (want, got) in enumerate(zip(shape, g.shape)) if want == 1 and got != 1)
     if ones:
         g = g.sum(axis=ones, keepdims=True)
@@ -365,9 +370,8 @@ def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta_shift: np.ndarray,
 def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndarray):
     """(dx, dgamma, dbeta) of a layer norm given its output gradient ``g``."""
     d = g.shape[-1]
-    reduce_axes = tuple(range(g.ndim - 1))
-    dgamma = (g * xhat).sum(axis=reduce_axes)
-    dbeta = g.sum(axis=reduce_axes)
+    dgamma = sum_rows((g * xhat).reshape(-1, d))
+    dbeta = sum_rows(g.reshape(-1, d))
     dxhat = g * gamma
     # row means as (rows, d) @ (d, 1) GEMVs: numpy's mean over a short
     # last axis reduces one row at a time, about ten times slower

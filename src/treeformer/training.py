@@ -315,7 +315,8 @@ def train(model: Seq2SeqModel, task: SyntheticTask, spec: TrainingSpec, out_dir,
             tape.backward(loss)
             lr = spec.lr_factor * lr_schedule(step, model.config.d_model, spec.warmup)
             adam_step(state, params, lr)
-            model.zero_grad()
+            for p in params.values():   # not model.zero_grad(), which walks the module tree
+                p.grad = None
             final_loss = loss_value
             if step % spec.log_every == 0 or step == spec.steps:
                 wall_ms = (time.perf_counter() - t0) * 1000.0

@@ -19,9 +19,9 @@ from treeformer.model import (
     param_report,
     tree_span,
 )
-from treeformer.nn import label_smoothed_ce
+from treeformer.nn import AttentionMask, label_smoothed_ce
 from treeformer.tasks import Batch, make_batch
-from treeformer.tensor import Tape, Tensor
+from treeformer.tensor import MaskError, Tape, Tensor
 
 from oracles import np_log_softmax, np_vanilla_forward
 
@@ -190,6 +190,42 @@ class TestForward:
             model.forward_train(long_batch)
 
 
+class TestAttentionMasks:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The masks each call builds, by the shape of their visibility mask."""
+        shapes, of = [], AttentionMask.of.__func__
+
+        def counting(cls, mask, dtype=np.float32):
+            shapes.append(np.shape(mask))
+            return of(cls, mask, dtype)
+
+        monkeypatch.setattr(AttentionMask, "of", classmethod(counting))
+        return shapes
+
+    def test_built_once_per_batch(self, built):
+        model = build(tiny_config(num_layers=4))
+        model.forward_train(BATCH)
+        b, s, t = BATCH.src.shape + BATCH.tgt_in.shape[1:]
+        # encoder self-attention, decoder self-attention, cross-attention: each for all 4 layers
+        assert built == [(b, 1, 1, s), (b, 1, t, t), (b, 1, 1, s)]
+
+    def test_each_decoder_call_builds_its_two_masks_once(self, built):
+        model = build(tiny_config(num_layers=4))
+        cache = encode_source(model, np.array([3, 4, 2]), 0)
+        assert len(built) == 1   # the encoder's
+        for t in range(1, 4):
+            forward_step(model, cache, np.ones((2, t), dtype=np.int64))
+        assert len(built) == 1 + 2 * 3   # then a self- and a cross-attention mask per decoder call
+
+    def test_all_pad_source_row_raises_before_any_layer_runs(self, monkeypatch):
+        model = build(tiny_config())
+        monkeypatch.setattr(type(model.encoder.layers[0]), "__call__",
+                            lambda *a, **k: pytest.fail("a layer ran"))
+        with pytest.raises(MaskError):
+            model.encode(np.array([[3, 4, 2], [0, 0, 0]]), 0)
+
+
 class TestPackedTraining:
     """forward_train runs on real rows only, so padding is invisible to it."""
 
@@ -308,6 +344,33 @@ class TestForwardStep:
             np.testing.assert_allclose(forward_step(model, cache, prefixes[:, :t]),
                                        self._full_decode_logp(model, src, prefixes[:, :t]), rtol=rtol)
         assert cache.depth == 5 and len(cache.rows) == rows
+
+    @pytest.mark.parametrize("width", [
+        pytest.param(dict(d_model=8), id="criterion4"),
+        pytest.param(dict(d_model=64, vocab_size=16), id="acceptance"),
+        # the known defect: the tied output projection's GEMM is not row-order invariant here
+        # (the decoder output is; a C-ordered copy of the embedding's transpose fixes vocab 9
+        # but not every width), so a fix shows up as XPASS.  Not strict: whether the GEMM is
+        # invariant depends on the BLAS kernel the CPU gets, and another CPU may pass it
+        pytest.param(dict(d_model=32), id="d32_vocab9", marks=pytest.mark.xfail(
+            reason="tied output projection GEMM is not row-order invariant (CHANGES.md FOUND)")),
+    ])
+    @pytest.mark.parametrize("spec", STEP_SPECS)
+    def test_reordered_prefixes_give_reordered_rows(self, spec, width):
+        # batch invariance, which criterion 4's 1e-9 beam-vs-exhaustive bound rests on: a row's
+        # log-probabilities do not depend on the rows beside it (see the layer norm's
+        # test_forward_rows_are_batch_invariant), on the rebuild path and on cached parents
+        model = build(tiny_config(num_layers=4, aggregation=spec, **width))
+        src, prefixes = np.array([[3, 4, 5, 2]]), self._prefixes(5)
+        perm = np.array([3, 0, 4, 1, 2])
+        rebuilt = forward_step(model, encode_source(model, src, 0), prefixes)
+        assert forward_step(model, encode_source(model, src, 0), prefixes[perm]).tobytes() == \
+            rebuilt[perm].tobytes()
+        caches = encode_source(model, src, 0), encode_source(model, src, 0)
+        for t in range(1, prefixes.shape[1] + 1):
+            stepped = forward_step(model, caches[0], prefixes[:, :t])
+            assert forward_step(model, caches[1], prefixes[perm, :t]).tobytes() == stepped[perm].tobytes()
+        assert stepped.tobytes() == rebuilt.tobytes()
 
     def test_pad_inside_prefix_is_masked_only_as_a_key(self):
         model = build(tiny_config(num_layers=4, aggregation=self.STEP_SPECS[1]), dtype=np.float64)

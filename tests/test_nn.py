@@ -9,6 +9,7 @@ import pytest
 from treeformer.diagnostics import check_param_grads
 from treeformer.model import AggregationSpec, ModelConfig, build
 from treeformer.nn import (
+    AttentionMask,
     EncoderLayer,
     DecoderLayer,
     FeedForward,
@@ -270,6 +271,66 @@ class TestPackedAttention:
         with pytest.raises(MaskError):
             scaled_dot_attention(Tensor(qp.gather(q)), Tensor(kvp.gather(k)), Tensor(kvp.gather(v)),
                                  mask, 2, (qp, kvp))
+
+
+def _attention_case(mask_kind, dtype, seed):
+    """(B, T, d) q, k and v with d = 12 (1 to 4 heads divide it), a pad or causal+pad mask, and
+    the packings that drop the query and key slots no row needs."""
+    rng = np.random.default_rng(seed)
+    q_kept = np.array([[True, True, True, False], [True, True, False, False]])
+    if mask_kind == "pad":
+        kv_kept = np.array([[True, True, False, False, False], [True, True, True, True, False]])
+        mask = kv_kept[:, None, None, :]
+    else:
+        kv_kept = q_kept
+        mask = np.tril(np.ones((4, 4), dtype=bool))[None, None] & kv_kept[:, None, None, :]
+    operands = [rng.standard_normal((2, t, 12)).astype(dtype) for t in (4, kv_kept.shape[1], kv_kept.shape[1])]
+    return operands, mask, (Packing.of(q_kept), Packing.of(kv_kept))
+
+
+def _attention_output_and_grads(operands, mask, heads, packs):
+    qp, kvp = packs or (None, None)
+    rows = operands if packs is None else [qp.gather(operands[0])] + [kvp.gather(x) for x in operands[1:]]
+    inputs = [Tensor(x, requires_grad=True) for x in rows]
+    with Tape() as tape:
+        out = scaled_dot_attention(*inputs, mask, heads, packs)
+        w = np.random.default_rng(3).standard_normal(out.shape).astype(out.dtype)
+        loss = sum_all(mul_elementwise(out, Tensor(w)))
+    tape.backward(loss)
+    return [out.data] + [t.grad for t in inputs]
+
+
+class TestAttentionMask:
+    """A visibility mask checked and laid out once, then passed to every attention op."""
+
+    def test_fully_masked_row_raises_when_built(self):
+        mask = np.ones((2, 1, 3, 4), dtype=bool)
+        mask[1, 0, 2, 1:] = False
+        AttentionMask.of(mask)   # one visible key is enough
+        mask[1, 0, 2, 0] = False
+        with pytest.raises(MaskError):
+            AttentionMask.of(mask)
+
+    def test_key_major_additive_layout(self):
+        mask = np.tril(np.ones((3, 3), dtype=bool))[None, None] & np.array([True, True, False])
+        bias = AttentionMask.of(mask, np.float64).bias
+        assert bias.shape == (3, 1, 1, 3) and bias.dtype == np.float64
+        np.testing.assert_array_equal(bias, np.where(np.moveaxis(mask, -1, 0), -0.0, -np.inf))
+        assert np.signbit(bias).all()   # -0.0 where visible: adding it leaves every score's bits
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mask_kind", ["pad", "causal"])
+    @pytest.mark.parametrize("packed", [False, True], ids=["unpacked", "packed"])
+    def test_prebuilt_equals_boolean_mask_bit_for_bit(self, packed, mask_kind, heads, dtype):
+        operands, mask, packs = _attention_case(mask_kind, dtype, seed=heads)
+        packs = packs if packed else None
+        # built in float32 as the float32 model builds it, also against float64 scores
+        prebuilt = AttentionMask.of(mask)
+        for with_bool, with_prebuilt in zip(_attention_output_and_grads(operands, mask, heads, packs),
+                                            _attention_output_and_grads(operands, prebuilt, heads, packs)):
+            assert with_bool.dtype == with_prebuilt.dtype == dtype
+            assert with_bool.tobytes() == with_prebuilt.tobytes()
 
 
 class TestMultiHeadAttention:

@@ -363,6 +363,12 @@ class TestTrainLoop:
         rows = read_metrics(result.metrics_path)
         assert rows[-1]["loss"] < rows[0]["loss"]
 
+    def test_gradients_are_cleared_after_every_step(self, tmp_path):
+        config, task = _toy_setup(structure="rtal", formula="ewp_ffn")
+        model = build(config)
+        train(model, task, TrainingSpec(steps=2, batch_tokens=64, checkpoint_every=10), tmp_path, seed=0)
+        assert all(p.grad is None for _, p in model.named_parameters())
+
     def test_metric_log_schema(self, tmp_path):
         config, task = _toy_setup()
         result = train(build(config), task,

@@ -17,23 +17,12 @@ The remaining baseline, ``linear``, is a softmax-weighted sum of all layers.
 from __future__ import annotations
 
 import math
-from functools import reduce
 from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
 from .nn import FeedForward, LayerNorm, Module, NamedParams
-from .tensor import (
-    ShapeError,
-    Tensor,
-    add,
-    concat_last_dim,
-    matmul,
-    mul_elementwise,
-    reshape,
-    scale,
-    softmax_last_dim,
-)
+from .tensor import ShapeError, Tensor, add, concat_last_dim, mul_elementwise, record_op, scale
 
 FORMULAS = ("mean", "concat_ffn", "ewp_ffn")
 STRUCTURES = ("none", "linear", "iterative", "cnn_tree", "rtal")
@@ -180,6 +169,28 @@ class TreeAggregator(Module):
             yield from node.formula.named_parameters(f"{prefix}.{self.param_group}.{i}")
 
 
+def softmax_weighted_sum(layer_outputs: List[Tensor], weights: Tensor) -> Tensor:
+    """sum_l softmax(weights)_l * h_l as one taped op, with the arithmetic of the chain it replaced
+    (the h_l stacked on a new last axis, times the softmax column in one GEMM), so the output and
+    every gradient are that chain's bit for bit."""
+    shape, num = layer_outputs[0].data.shape, len(layer_outputs)
+    if any(h.data.shape != shape for h in layer_outputs):
+        raise ShapeError(f"linear combination inputs differ in shape: {[h.shape for h in layer_outputs]}")
+    rows = np.stack([h.data for h in layer_outputs], axis=-1).reshape(-1, num)
+    e = np.exp(weights.data - weights.data.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    col = p.reshape(num, 1)
+
+    def rule(g):
+        g2 = g.reshape(-1, 1)
+        gh, gp = g2 @ col.T, (rows.T @ g2).reshape(num)
+        gw = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        # each layer's gradient stays a strided column of gh, the layout the chain's concat gave
+        return (gw, *(gh[:, i].reshape(shape) for i in range(num)))
+
+    return record_op((rows @ col).reshape(shape), (weights, *layer_outputs), rule)
+
+
 class LinearCombination(Module):
     """Softmax-normalized scalar weight per layer; weights start at zero."""
 
@@ -194,11 +205,7 @@ class LinearCombination(Module):
             raise ShapeError(
                 f"linear combination built for {self.num_inputs} inputs, got {len(layer_outputs)}"
             )
-        out_shape = layer_outputs[0].data.shape
-        columns = [reshape(h, out_shape + (1,)) for h in layer_outputs]
-        stacked = reduce(concat_last_dim, columns)  # (..., d, L)
-        coeffs = reshape(softmax_last_dim(self.weights), (self.num_inputs, 1))
-        return reshape(matmul(stacked, coeffs), out_shape)
+        return softmax_weighted_sum(layer_outputs, self.weights)
 
 
 class IterativeCombination(TreeAggregator):

@@ -89,6 +89,15 @@ def gradient_suite(step: float = 1e-5, threshold: float = 1e-5) -> List[SuiteRes
     results.append(SuiteResult("rtal_tree_4_leaves", max(errs.values()), threshold))
 
     results.append(_full_path_case(step, threshold))
+
+    # its own generator, so the draws of the cases above do not move
+    linear_rng = np.random.default_rng(12)
+    linear = aggregation.LinearCombination(3, dtype=np.float64)
+    linear.weights.data = linear_rng.standard_normal(3)
+    layers = {f"layer.{i}": Tensor(linear_rng.standard_normal((2, 3, 4)), requires_grad=True) for i in range(3)}
+    errs = check_param_grads(lambda: projected(linear.apply(list(layers.values())), 7),
+                             {"weights": linear.weights, **layers}, step)
+    results.append(SuiteResult("agg_linear", max(errs.values()), threshold))
     return results
 
 

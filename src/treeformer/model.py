@@ -31,8 +31,9 @@ from .nn import (
     Packing,
     dropout,
     sinusoidal_positions,
+    tied_logits,
 )
-from .tensor import Tensor, add, matmul, scale, transpose_last_two
+from .tensor import Tensor, add, scale
 
 
 class ConfigError(ValueError):
@@ -282,7 +283,7 @@ class Seq2SeqModel(Module):
         cross_mask = AttentionMask.of(src_visible[:, None, None, :], self.dtype)
         y = self.decoder(y, lambda i, layer, y: layer(
             y, memory, self_mask, cross_mask, rng, cross_kv and cross_kv[i], packs, self_kv and self_kv[i]), rng)
-        logits = matmul(y, transpose_last_two(self.embedding.weight))
+        logits = tied_logits(y, self.embedding.weight)
         return logits if self_kv is not None else packs[0].unpack(logits)
 
     def forward_train(self, batch, rng=None) -> Tensor:

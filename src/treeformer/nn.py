@@ -171,6 +171,21 @@ def ffn_sublayer(x: Tensor, norm: LayerNorm, ffn: FeedForward, rate: float, rng)
                            ffn.lin2.weight, ffn.lin2.bias), rule)
 
 
+def tied_logits(x: Tensor, weight: Tensor) -> Tensor:
+    """x @ weight.T as one taped op: the output projection tied to the (vocab, d) embedding table,
+    whose gradient is the transpose of ``matmul``'s weight gradient."""
+    w, shape = weight.data, x.data.shape
+    if shape[-1] != w.shape[-1]:
+        raise ShapeError(f"tied projection: rows {x.shape} do not fit table {weight.shape}")
+    rows = x.data.reshape(-1, w.shape[-1])
+
+    def rule(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return (g2 @ w).reshape(shape), (rows.T @ g2).T
+
+    return record_op((rows @ w.T).reshape(shape[:-1] + w.shape[:1]), (x, weight), rule)
+
+
 class Packing(NamedTuple):
     """The slots of a padded (B, T) batch that hold real rows, as a flat row index.
 

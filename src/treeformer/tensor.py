@@ -34,14 +34,6 @@ class NumericalError(ArithmeticError):
     """A non-finite value appeared where the computation requires finiteness."""
 
 
-_DEBUG_CHECKS = [False]
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle NaN/Inf checking after every forward operation (slow)."""
-    _DEBUG_CHECKS[0] = bool(enabled)
-
-
 class Tensor:
     """Dense n-dimensional value, optionally participating in gradient taping."""
 
@@ -133,8 +125,6 @@ def record_op(data: np.ndarray, inputs: Sequence[Tensor], rule: Callable) -> Ten
     Exposed so composite operations (e.g. fused losses) can register a
     hand-derived backward rule instead of composing primitives.
     """
-    if _DEBUG_CHECKS[0] and not np.all(np.isfinite(data)):
-        raise NumericalError("non-finite value produced by a forward operation")
     tape = _active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out = Tensor(data, requires_grad=True)
@@ -168,56 +158,31 @@ def _sum_to_suffix(shape: tuple, g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _sum_to_shape(shape: tuple, g: np.ndarray) -> np.ndarray:
-    """Reduce a gradient to ``shape``, handling extent-1 broadcast axes too.
-
-    Needed for matmul batch dimensions, which numpy broadcasts generally.
-    """
-    g = _sum_to_suffix(g.shape[g.ndim - len(shape):], g)
-    ones = tuple(i for i, (want, got) in enumerate(zip(shape, g.shape)) if want == 1 and got != 1)
-    if ones:
-        g = g.sum(axis=ones, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # Primitive kernels
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Matrix product over the last two axes, batched over leading axes.
-
-    A 2-D right operand (a weight matrix) is applied to the leading axes of
-    ``a`` flattened into rows, so both directions are one 2-D GEMM each and
-    the weight gradient needs no reduction over batch axes.  With a 2-D
-    right operand, ``bias`` (shape ``(n,)``) is added in the same taped op,
-    as ``add`` would, so an affine layer is one tape record.
-    """
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} x {b.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+    """``a`` times the weight matrix ``b``: one 2-D GEMM over a's leading axes flattened into rows,
+    in both directions.  ``bias`` (shape ``(n,)``) is added in the same taped op, as ``add`` would,
+    so an affine layer is one tape record."""
     ad, bd = a.data, b.data
-    if bias is not None and (bd.ndim != 2 or bias.data.shape != bd.shape[-1:]):
+    if ad.ndim < 2 or bd.ndim != 2:
+        raise ShapeError(f"matmul needs a rank >= 2 left and a 2-D right operand, got {a.shape} x {b.shape}")
+    if ad.shape[-1] != bd.shape[0]:
+        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+    if bias is not None and bias.data.shape != bd.shape[1:]:
         raise ShapeError(f"matmul bias {bias.shape} does not fit right operand {b.shape}")
-    if bd.ndim == 2:
-        rows = ad.reshape(-1, ad.shape[-1])
-        out = rows @ bd
-        if bias is not None:
-            out += bias.data
-        out = out.reshape(ad.shape[:-1] + bd.shape[-1:])
+    rows = ad.reshape(-1, ad.shape[-1])
+    out = rows @ bd
+    if bias is not None:
+        out += bias.data
+    out = out.reshape(ad.shape[:-1] + bd.shape[1:])
 
-        def rule(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            ga, gb = (g2 @ bd.T).reshape(ad.shape), rows.T @ g2
-            return (ga, gb) if bias is None else (ga, gb, _sum_to_suffix(bd.shape[-1:], g))
-    else:
-        out = ad @ bd
-
-        def rule(g):
-            ga = _sum_to_shape(ad.shape, g @ bd.swapaxes(-1, -2))
-            gb = _sum_to_shape(bd.shape, ad.swapaxes(-1, -2) @ g)
-            return ga, gb
+    def rule(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        ga, gb = (g2 @ bd.T).reshape(ad.shape), rows.T @ g2
+        return (ga, gb) if bias is None else (ga, gb, _sum_to_suffix(bd.shape[1:], g))
 
     return record_op(out, (a, b) if bias is None else (a, b, bias), rule)
 
@@ -292,6 +257,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return record_op(table.data[ids], (table,), rule)
 
 
+# kept for the benchmark's tracer, which wraps it by name (perfbench/spans.py PRIMITIVES)
 def swap_axes(a: Tensor, axis1: int, axis2: int) -> Tensor:
     def rule(g):
         return (g.swapaxes(axis1, axis2),)
@@ -299,12 +265,7 @@ def swap_axes(a: Tensor, axis1: int, axis2: int) -> Tensor:
     return record_op(a.data.swapaxes(axis1, axis2), (a,), rule)
 
 
-def transpose_last_two(a: Tensor) -> Tensor:
-    if a.data.ndim < 2:
-        raise ShapeError(f"transpose_last_two needs rank >= 2, got {a.shape}")
-    return swap_axes(a, -2, -1)
-
-
+# kept for the benchmark's tracer, which wraps it by name (perfbench/spans.py PRIMITIVES)
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != a.data.size:

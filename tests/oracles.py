@@ -11,9 +11,7 @@ import numpy as np
 
 
 def scalar_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Triple-loop matrix product; supports one leading batch axis."""
-    if a.ndim == 3:
-        return np.stack([scalar_matmul(a[i], b[i]) for i in range(a.shape[0])])
+    """Triple-loop product of two matrices."""
     m, k = a.shape
     k2, n = b.shape
     assert k == k2

@@ -1,5 +1,7 @@
 """Aggregation formulas, the residual tree, and the baseline structures."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from treeformer.aggregation import (
     formula_param_count,
     make_formula,
 )
-from treeformer.tensor import ShapeError, Tape, Tensor, sum_all
+from treeformer.tensor import (ShapeError, Tape, Tensor, concat_last_dim, matmul, mul_elementwise,
+                               reshape, softmax_last_dim, sum_all)
 
 from oracles import np_formula, ref_tree_eval
 
@@ -217,3 +220,45 @@ class TestBaselines:
         a = rtal.apply([Tensor(v) for v in values]).data
         b = plain.apply([Tensor(v) for v in values]).data
         assert not np.allclose(a, b)
+
+
+def _linear_chain(agg, layer_outputs):
+    """The taped chain a linear combination used to be: each output reshaped to a column,
+    the columns concatenated, and a (..., d, L) @ (L, 1) product with the softmaxed weights."""
+    shape = layer_outputs[0].shape
+    stacked = reduce(concat_last_dim, [reshape(h, shape + (1,)) for h in layer_outputs])
+    coeffs = reshape(softmax_last_dim(agg.weights), (agg.num_inputs, 1))
+    return reshape(matmul(stacked, coeffs), shape)
+
+
+class TestLinearCombinationOp:
+    """LinearCombination.apply, one taped op, against the chain it replaces."""
+
+    @pytest.mark.parametrize("lead", [(7,), (2, 3)], ids=["packed_rows", "batched"])
+    @pytest.mark.parametrize("inputs", [1, 2, 4])
+    def test_float32_output_and_gradients_equal_the_chain_bit_for_bit(self, inputs, lead):
+        rng = np.random.default_rng(70 + inputs)
+        agg = LinearCombination(inputs)
+        agg.weights.data = rng.standard_normal(inputs).astype(np.float32)
+        outs = [Tensor(rng.standard_normal(lead + (6,)).astype(np.float32), requires_grad=True)
+                for _ in range(inputs)]
+        results = []
+        for op in (agg.apply, lambda hs: _linear_chain(agg, hs)):
+            for t in [agg.weights] + outs:
+                t.grad = None
+            with Tape() as tape:
+                out = op(outs)
+                w = np.random.default_rng(1).standard_normal(out.shape).astype(out.dtype)
+                loss = sum_all(mul_elementwise(out, Tensor(w)))
+            tape.backward(loss)
+            results.append((len(tape), [out.data, agg.weights.grad] + [h.grad for h in outs]))
+        (fused_records, fused), (chain_records, chain) = results
+        assert fused_records == 3 and chain_records == 2 + 3 + 2 * inputs
+        names = ["out", "weights"] + [f"h{i}" for i in range(inputs)]
+        for name, a, b in zip(names, fused, chain):
+            assert a.dtype == b.dtype == np.float32 and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_inputs_of_different_shapes_raise(self):
+        with pytest.raises(ShapeError):
+            LinearCombination(2).apply([Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4)))])

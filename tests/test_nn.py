@@ -24,9 +24,11 @@ from treeformer.nn import (
     label_smoothed_ce,
     scaled_dot_attention,
     sinusoidal_positions,
+    tied_logits,
 )
 from treeformer.tasks import make_batch
-from treeformer.tensor import MaskError, ShapeError, Tape, Tensor, add, grad_check, mul_elementwise, sum_all
+from treeformer.tensor import (MaskError, ShapeError, Tape, Tensor, add, grad_check, matmul,
+                               mul_elementwise, sum_all, swap_axes)
 
 from oracles import scalar_attention
 
@@ -648,7 +650,8 @@ class TestFusedSublayers:
 
         assert grad_check(f, Tensor(start.data)) <= 1e-5
 
-    @pytest.mark.parametrize("structure,formula,records", [("rtal", "ewp_ffn", 116), ("none", "mean", 94)])
+    @pytest.mark.parametrize("structure,formula,records",
+                             [("rtal", "ewp_ffn", 115), ("none", "mean", 93), ("linear", "mean", 95)])
     def test_tape_records_of_one_training_step_are_pinned(self, structure, formula, records):
         # the acceptance config, on a batch with padding as training batches have
         model = build(ModelConfig(num_layers=4, d_model=64, num_heads=4, d_ff=256, vocab_size=16,
@@ -659,3 +662,32 @@ class TestFusedSublayers:
             logits = model.forward_train(batch, np.random.default_rng(0))
             label_smoothed_ce(logits, batch.tgt_out, 0.1, batch.pad_id)
         assert len(tape) == records
+
+
+class TestTiedLogits:
+    """tied_logits against the taped chain it replaces, matmul(y, swap_axes(table, 0, 1))."""
+
+    @pytest.mark.parametrize("lead", [(7,), (3, 1)], ids=["packed_rows", "decode_rows"])
+    def test_float32_output_and_gradients_equal_the_chain_bit_for_bit(self, lead):
+        rng = np.random.default_rng(60)
+        y = Tensor(rng.standard_normal(lead + (6,)).astype(np.float32), requires_grad=True)
+        table = Tensor(rng.standard_normal((9, 6)).astype(np.float32), requires_grad=True)
+        results = []
+        for op in (tied_logits, lambda y, w: matmul(y, swap_axes(w, 0, 1))):
+            y.grad = table.grad = None
+            with Tape() as tape:
+                out = op(y, table)
+                w = np.random.default_rng(1).standard_normal(out.shape).astype(out.dtype)
+                loss = sum_all(mul_elementwise(out, Tensor(w)))
+            tape.backward(loss)
+            results.append((len(tape), [out.data, y.grad, table.grad]))
+        (fused_records, fused), (chain_records, chain) = results
+        assert (fused_records, chain_records) == (3, 4)
+        assert fused[0].shape == lead + (9,)
+        for name, a, b in zip(["out", "y", "table"], fused, chain):
+            assert a.dtype == b.dtype == np.float32 and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_width_mismatch_raises(self):
+        with pytest.raises(ShapeError):
+            tied_logits(Tensor(np.ones((2, 5))), Tensor(np.ones((9, 6))))

@@ -6,7 +6,6 @@ import pytest
 from treeformer.tensor import (
     _sum_to_suffix,
     MaskError,
-    NumericalError,
     ShapeError,
     Tape,
     Tensor,
@@ -23,12 +22,10 @@ from treeformer.tensor import (
     relu,
     reshape,
     scale,
-    set_debug_checks,
     softmax_last_dim,
     sum_all,
     sum_rows,
     swap_axes,
-    transpose_last_two,
 )
 
 from oracles import scalar_matmul, scalar_softmax
@@ -48,21 +45,14 @@ class TestKernels:
         ref = scalar_matmul(a, b)
         assert np.abs(out - ref).max() <= 1e-6 * np.abs(ref).max()
 
-    def test_batched_matmul_against_scalar_loop(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            bsz, m, k, n = (int(rng.integers(1, 9)) for _ in range(4))
-            a = rng.standard_normal((bsz, m, k))
-            b = rng.standard_normal((bsz, k, n))
-            out = matmul(Tensor(a), Tensor(b)).data
-            ref = scalar_matmul(a, b)
-            assert np.abs(out - ref).max() <= 1e-6 * max(np.abs(ref).max(), 1.0)
-
     def test_matmul_shape_errors(self):
         with pytest.raises(ShapeError):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
         with pytest.raises(ShapeError):
             matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+        # the right operand is a weight matrix: a batched one is refused, not broadcast
+        with pytest.raises(ShapeError):
+            matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((2, 3, 4))))
 
     def test_relu_definition(self):
         out = relu(Tensor([-1.0, 0.0, 2.0]))
@@ -98,7 +88,7 @@ class TestKernels:
 
     def test_transpose_and_reshape(self):
         x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
-        np.testing.assert_array_equal(transpose_last_two(x).data, x.data.T)
+        np.testing.assert_array_equal(swap_axes(x, 0, 1).data, x.data.T)
         np.testing.assert_array_equal(
             swap_axes(Tensor(np.zeros((2, 3, 4))), 0, 1).data.shape, (3, 2, 4)
         )
@@ -324,14 +314,6 @@ class TestBackward:
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
-    def test_debug_checks_flag_nonfinite(self):
-        set_debug_checks(True)
-        try:
-            with pytest.raises(NumericalError):
-                scale(Tensor([1.0]), float("inf"))
-        finally:
-            set_debug_checks(False)
-
 
 class TestGradCheck:
     def test_identity(self):
@@ -362,7 +344,7 @@ class TestGradCheck:
             (lambda t: scale(t, -1.7), x),
             (relu, safe),
             (lambda t: concat_last_dim(t, other), x),
-            (transpose_last_two, x),
+            (lambda t: swap_axes(t, 0, 1), x),
             (lambda t: reshape(t, (3, 2)), x),
             (softmax_last_dim, x),
             (lambda t: layer_norm(t, gamma, beta, 1e-6), x),

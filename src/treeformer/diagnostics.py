@@ -61,7 +61,7 @@ def gradient_suite(step: float = 1e-5, threshold: float = 1e-5) -> List[SuiteRes
 
     mha = MultiHeadAttention(8, 2, rng, dtype=np.float64)
     attn_mask = np.array([[True, True, True], [True, True, False], [True, False, False]])
-    _case_block("multi_head_attention", lambda t: mha(t, t, t, attn_mask),
+    _case_block("multi_head_attention", lambda t: mha(t, t, attn_mask),
                 dict(mha.named_parameters("mha")), rng.standard_normal((1, 3, 8)),
                 step, threshold, results)
 

@@ -321,13 +321,13 @@ class EncodedSource:
     depth: int = field(default=0, init=False)   # length of the prefixes in ``rows``
     rows: dict = field(default_factory=dict, init=False)     # prefix tuple -> its row in ``self_kv``
     self_kv: list = field(default_factory=list, init=False)  # per layer: [K, V], each (rows, depth, d_model)
-    # per row count: ``cross_kv`` broadcast to that many rows, as Tensors
+    # per row count: ``cross_kv`` broadcast to that many rows
     _cross_rows: dict = field(default_factory=dict, init=False, repr=False)
 
     def cross_rows(self, n: int) -> list:
         kv = self._cross_rows.get(n)
         if kv is None:
-            kv = self._cross_rows[n] = [tuple(Tensor(np.broadcast_to(a, (n,) + a.shape[1:])) for a in pair)
+            kv = self._cross_rows[n] = [tuple(np.broadcast_to(a, (n,) + a.shape[1:]) for a in pair)
                                         for pair in self.cross_kv]
         return kv
 
@@ -336,8 +336,7 @@ def encode_source(model: Seq2SeqModel, src, pad_id: int) -> EncodedSource:
     """Encode one source and project it through every layer's cross-attention keys and values."""
     src = np.atleast_2d(np.asarray(src))
     memory, visible = model.encode(src, pad_id)
-    cross_kv = [tuple(t.data for t in layer.cross_attn.project_kv(memory, memory))
-                for layer in model.decoder.layers]
+    cross_kv = [layer.cross_attn.project_kv(memory) for layer in model.decoder.layers]
     return EncodedSource(visible, pad_id, cross_kv)
 
 

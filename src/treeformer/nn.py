@@ -9,7 +9,7 @@ deterministically with dropout disabled.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,9 +114,10 @@ def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tenso
     return x if mask is None else mul_elementwise(x, Tensor(mask))
 
 
-# The fused sublayer ops below do the arithmetic of the taped chains they replace in the same
-# order (one dropout draw, after the last projection), so their outputs and gradients are the
-# chains' bit for bit; they keep for backward only the arrays it reads.
+# The fused sublayer ops (``ffn_sublayer`` below and ``MultiHeadAttention``'s call) do the
+# arithmetic of the taped chains they replace in the same order (one dropout draw, after the last
+# projection), so their outputs and gradients are the chains' bit for bit, except the gradient of
+# an input that feeds grouped attention projections; they keep for backward only what it reads.
 
 def _residual_linear(x: Tensor, rows: np.ndarray, lin: Linear, rate: float, rng):
     """x + dropout(lin(rows)), the (n, in) ``rows`` mapped to x's (..., out) shape, and its
@@ -135,18 +136,6 @@ def _residual_linear(x: Tensor, rows: np.ndarray, lin: Linear, rate: float, rng)
         return g2 @ w.T, rows.T @ g2, sum_rows(g2)
 
     return x.data + f, backward
-
-
-def attention_tail(x: Tensor, heads: Tensor, proj: Linear, rate: float, rng) -> Tensor:
-    """x + dropout(proj(heads)) as one taped op: an attention sublayer after its merged heads.
-    Backward keeps the heads' rows and the dropout mask."""
-    out, tail = _residual_linear(x, heads.data.reshape(-1, heads.data.shape[-1]), proj, rate, rng)
-
-    def rule(g):
-        gheads, gw, gb = tail(g)
-        return g, gheads.reshape(heads.data.shape), gw, gb
-
-    return record_op(out, (x, heads, proj.weight, proj.bias), rule)
 
 
 def ffn_sublayer(x: Tensor, norm: LayerNorm, ffn: FeedForward, rate: float, rng) -> Tensor:
@@ -220,6 +209,10 @@ class Packing(NamedTuple):
         return x if self.rows is None else record_op(self.scatter(x.data), (x,), lambda g: (self.gather(g),))
 
 
+# the identity packing of arrays used as they are; scatter and gather never read its shape
+_WHOLE = Packing(())
+
+
 class AttentionMask(NamedTuple):
     """A visibility mask checked once and laid out as the softmax reads it: key axis first, as an
     additive bias of -0.0 at a visible key (x + -0.0 is x, signed zeros included) and -inf at a
@@ -234,7 +227,59 @@ class AttentionMask(NamedTuple):
         if not m.any(axis=-1).all():
             raise MaskError("softmax row is fully masked")
         visible, hidden = np.array([-0.0, -np.inf], dtype=dtype)
-        return cls(np.where(np.moveaxis(m, -1, 0), visible, hidden))
+        return cls(np.where(m.transpose((m.ndim - 1, *range(m.ndim - 1))), visible, hidden))
+
+
+def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
+    """(..., T, d) -> (..., heads, T, d / heads), a view: every head is a block of columns."""
+    return x.reshape(x.shape[:-1] + (num_heads, x.shape[-1] // num_heads)).swapaxes(-2, -3)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, num_heads: int):
+    """Multi-head softmax(q k^T / sqrt(d_head)) v of (..., Tq, d) queries and (..., Tk, d) keys and
+    values, which may be column blocks of wider buffers.  Returns the merged (..., Tq, d) heads and
+    the backward, which writes the gradients of q, k and v into the arrays it is given.
+
+    The softmax runs key-major, on a (Tk, ..., heads, Tq) buffer: numpy reduces a short last axis
+    one row at a time, but a leading axis in a few whole-array passes.  Every stacked matmul writes
+    straight into the layout its consumer reads and takes its operands through transposed views,
+    which BLAS reads as they are, so no operand is copied to another layout.  The backward rule is
+    the closed form dS = P * (dP - rowsum(dP * P)) (FlashAttention, Dao et al. 2022).
+    """
+    d = q.shape[-1]
+    if num_heads < 1 or d % num_heads != 0:
+        raise ShapeError(f"model dim {d} is not divisible into {num_heads} heads")
+    qh, kh, vh = (_split_heads(x, num_heads) for x in (q, k, v))
+    dtype = np.result_type(q, k, v)
+    pk = np.empty(kh.shape[-2:-1] + qh.shape[:-1], dtype=dtype)
+    from_keys = (*range(1, pk.ndim), 0)   # np.moveaxis(pk, 0, -1), without its argument checks
+    p = pk.transpose(from_keys)   # (..., heads, Tq, Tk)
+    np.matmul(qh, kh.swapaxes(-1, -2), out=p)
+    # a Python float: a numpy float64 scalar would promote float32 scores
+    factor = 1.0 / math.sqrt(d // num_heads)
+    pk *= factor
+    if mask is not None:
+        bias = (mask if isinstance(mask, AttentionMask) else AttentionMask.of(mask, dtype)).bias
+        pk += bias.reshape(bias.shape[:1] + (1,) * (pk.ndim - bias.ndim) + bias.shape[1:])
+    pk -= pk.max(axis=0)
+    np.exp(pk, out=pk)
+    pk /= pk.sum(axis=0)
+    out = np.empty(q.shape, dtype=dtype)
+    np.matmul(p, vh, out=_split_heads(out, num_heads))
+
+    def backward(g, dq, dk, dv):
+        gh = _split_heads(g, num_heads)
+        dsk = np.empty_like(pk)
+        ds = dsk.transpose(from_keys)
+        np.matmul(gh, vh.swapaxes(-1, -2), out=ds)
+        dsk -= (dsk * pk).sum(axis=0)
+        dsk *= pk
+        dsk *= factor
+        np.matmul(ds, kh, out=_split_heads(dq, num_heads))
+        np.matmul(ds.swapaxes(-1, -2), qh, out=_split_heads(dk, num_heads))
+        np.matmul(p.swapaxes(-1, -2), gh, out=_split_heads(dv, num_heads))
+
+    return out, backward
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None, num_heads: int = 1,
@@ -251,58 +296,48 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None, num_heads: 
     ``mask`` is an ``AttentionMask`` or a boolean array broadcastable to
     (..., num_heads, Tq, Tk), True at a visible key, which is checked and
     laid out here.  A query row with no visible key raises MaskError.
-    The backward rule is the closed form dS = P * (dP - rowsum(dP * P))
-    (FlashAttention, Dao et al. 2022).
     """
-    qp, kvp = packs or (None, None)
-    qd, kd, vd = (q.data, k.data, v.data) if packs is None else \
-        (qp.scatter(q.data), kvp.scatter(k.data), kvp.scatter(v.data))
+    qp, kvp = packs or (_WHOLE, _WHOLE)
+    qd, kd, vd = qp.scatter(q.data), kvp.scatter(k.data), kvp.scatter(v.data)
     if qd.ndim < 2 or kd.shape != vd.shape or \
             (kd.shape[:-2], kd.shape[-1]) != (qd.shape[:-2], qd.shape[-1]):
         raise ShapeError(f"attention operands disagree: q {q.shape}, k {k.shape}, v {v.shape}")
-    d = qd.shape[-1]
-    if num_heads < 1 or d % num_heads != 0:
-        raise ShapeError(f"model dim {d} is not divisible into {num_heads} heads")
-    head_dim = d // num_heads
-
-    def split(x):  # (..., T, d) -> (..., heads, T, head_dim)
-        return x.reshape(x.shape[:-1] + (num_heads, head_dim)).swapaxes(-2, -3)
-
-    def merge(x):  # (..., heads, T, head_dim) -> (..., T, d)
-        x = x.swapaxes(-2, -3)
-        return x.reshape(x.shape[:-2] + (d,))
-
-    qh, kh, vh = split(qd), split(kd), split(vd)
-    # The softmax runs key-major, on a (Tk, ..., heads, Tq) copy of the
-    # scores: numpy reduces a short last axis one row at a time, but a
-    # leading axis in a few whole-array passes.  Stacked matmul is fast only
-    # on a C-ordered right operand, so K^T and V^T are copied once.
-    n = qh.ndim
-    to_keys, from_keys = (n - 1, *range(n - 1)), (*range(1, n), 0)
-    pk = np.ascontiguousarray((qh @ np.ascontiguousarray(kh.swapaxes(-1, -2))).transpose(to_keys))
-    # a Python float: a numpy float64 scalar would promote float32 scores
-    factor = 1.0 / math.sqrt(head_dim)
-    pk *= factor
-    if mask is not None:
-        bias = (mask if isinstance(mask, AttentionMask) else AttentionMask.of(mask, pk.dtype)).bias
-        pk += bias.reshape(bias.shape[:1] + (1,) * (n - bias.ndim) + bias.shape[1:])
-    pk -= pk.max(axis=0)
-    np.exp(pk, out=pk)
-    pk /= pk.sum(axis=0)
-    p = np.ascontiguousarray(pk.transpose(from_keys))
+    out, backward = _attend(qd, kd, vd, mask, num_heads)
 
     def rule(g):
-        gh = split(g if packs is None else qp.scatter(g))
-        dsk = np.ascontiguousarray((gh @ np.ascontiguousarray(vh.swapaxes(-1, -2))).transpose(to_keys))
-        dsk -= (dsk * pk).sum(axis=0)
-        dsk *= pk
-        ds = np.ascontiguousarray(dsk.transpose(from_keys))
-        ds *= factor
-        dq, dk, dv = merge(ds @ kh), merge(ds.swapaxes(-1, -2) @ qh), merge(p.swapaxes(-1, -2) @ gh)
-        return (dq, dk, dv) if packs is None else (qp.gather(dq), kvp.gather(dk), kvp.gather(dv))
+        grads = [np.empty(a.shape, dtype=out.dtype) for a in (qd, kd, vd)]
+        backward(qp.scatter(g), *grads)
+        return qp.gather(grads[0]), kvp.gather(grads[1]), kvp.gather(grads[2])
 
-    out = merge(p @ vh)
-    return record_op(out if packs is None else qp.gather(out), (q, k, v), rule)
+    return record_op(qp.gather(out), (q, k, v), rule)
+
+
+def _project(rows: np.ndarray, lins: Sequence[Linear]):
+    """rows @ [W_1|...|W_k] + [b_1|...|b_k] as one GEMM, for layers of one output width; a layer
+    without a bias adds -0.0 (x + -0.0 is x, signed zeros included).  The weights are concatenated
+    on each call: Adam updates the parameters in place, so a kept copy would go stale.  Returns the
+    (n, k * width) product and its backward: the map from the product's gradient to the gradient
+    of rows and the list of the layers' weight and bias gradients, each weight before its bias."""
+    def bias(lin):
+        return np.full(lin.weight.shape[1], -0.0, lin.weight.dtype) if lin.bias is None else lin.bias.data
+
+    if len(lins) == 1:
+        w, b = lins[0].weight.data, bias(lins[0])
+    else:
+        w = np.concatenate([lin.weight.data for lin in lins], axis=1)
+        b = np.concatenate([bias(lin) for lin in lins])
+    width = w.shape[1] // len(lins)
+    f = rows @ w
+    f += b
+
+    def backward(g):
+        gw, gb, grads = rows.T @ g, sum_rows(g), []
+        for i, lin in enumerate(lins):
+            cols = slice(i * width, (i + 1) * width)
+            grads += [gw[:, cols]] if lin.bias is None else [gw[:, cols], gb[cols]]
+        return g @ w.T, grads
+
+    return f, backward
 
 
 class MultiHeadAttention(Module):
@@ -319,21 +354,73 @@ class MultiHeadAttention(Module):
         self.v_proj = Linear(d_model, d_model, rng, dtype)
         self.out_proj = Linear(d_model, d_model, rng, dtype)
 
-    def project_kv(self, k_in: Tensor, v_in: Tensor) -> Tuple[Tensor, Tensor]:
-        """Keys and values; cross-attention computes them once per source."""
-        return self.k_proj(k_in), self.v_proj(v_in)
+    def project_kv(self, memory: Tensor) -> Tuple[np.ndarray, np.ndarray]:
+        """The keys and values of ``memory``, untaped, from the one GEMM against [Wk|Wv] that
+        cross-attention runs: what decoding caches per source."""
+        kv, _ = _project(memory.data.reshape(-1, memory.shape[-1]), (self.k_proj, self.v_proj))
+        kv = kv.reshape(memory.shape[:-1] + kv.shape[-1:])
+        d = memory.shape[-1]
+        return kv[..., :d], kv[..., d:]
 
-    def __call__(self, q_in: Tensor, k_in: Tensor, v_in: Tensor, mask=None, kv=None, packs=None,
-                 residual: Optional[Tensor] = None, rate: float = 0.0, rng=None) -> Tensor:
-        """``kv``: keys and values from ``project_kv``, used instead of k_in and v_in.  With
-        ``residual`` x, the whole sublayer x + dropout(out_proj(attention)), whose tail after the
-        attention is one taped op (``attention_tail``)."""
-        q = self.q_proj(q_in)
-        k, v = self.project_kv(k_in, v_in) if kv is None else kv
-        heads = scaled_dot_attention(q, k, v, mask, self.num_heads, packs)
-        if residual is None:
-            return self.out_proj(heads)
-        return attention_tail(residual, heads, self.out_proj, rate, rng)
+    def __call__(self, x: Tensor, h: Tensor, mask=None, memory: Optional[Tensor] = None, kv=None,
+                 packs=None, past_kv: Optional[list] = None, rate: float = 0.0, rng=None) -> Tensor:
+        """The attention sublayer x + dropout(out_proj(attention)) as one taped op, its queries
+        projected from h and its keys and values from h (self-attention) or from ``memory``
+        (cross-attention).  ``packs``: the (query, key/value) packings when x, h and memory are
+        packed rows.  For decoding, ``kv`` (keys and values as ``project_kv`` gives them) replaces
+        memory, and ``past_kv``, self-attention's [keys, values] of the earlier positions, is
+        extended in place with this call's; the attention then runs on all of them.  Either way
+        the tape takes the keys and values as constants.
+
+        Projections that read the same input run as one GEMM, and each input's rows are
+        scattered once into a (B, T, k * d) buffer that the attention reads column blocks of.
+        Backward keeps the projected buffers, the softmax, the merged heads' rows and the
+        dropout mask."""
+        qp, kvp = packs or (_WHOLE, _WHOLE)
+        d = h.shape[-1]
+        # (input, its packing, the projections that read it)
+        if kv is None and memory is None:
+            groups = ((h, qp, (self.q_proj, self.k_proj, self.v_proj)),)
+        elif kv is None:
+            groups = ((h, qp, (self.q_proj,)), (memory, kvp, (self.k_proj, self.v_proj)))
+        else:
+            groups = ((h, qp, (self.q_proj,)),)
+        bufs, projections = [], []
+        for t, pack, lins in groups:
+            f, backward = _project(t.data.reshape(-1, d), lins)
+            bufs.append(pack.scatter(f.reshape(t.shape[:-1] + f.shape[-1:])))
+            projections.append(backward)
+
+        def blocks(arrays):   # the d-wide column blocks: q, then k and v unless ``kv`` holds them
+            return [a[..., i:i + d] for a in arrays for i in range(0, a.shape[-1], d)]
+
+        q, *own_kv = blocks(bufs)
+        if past_kv is not None:
+            kv = past_kv[:] = [np.concatenate((past, new), axis=-2) for past, new in zip(past_kv, own_kv)]
+        k, v = own_kv if kv is None else kv
+        heads, attend_backward = _attend(q, k, v, mask, self.num_heads)
+        heads = qp.gather(heads)
+        out, tail = _residual_linear(x, heads.reshape(-1, d), self.out_proj, rate, rng)
+        heads_shape = heads.shape
+
+        def rule(g):
+            gheads, gw, gb = tail(g)
+            # keys and values from ``kv`` or ``past_kv`` are constants: their gradients go to
+            # scratch arrays, and the projections get none
+            gbufs = [(np.empty_like if kv is None else np.zeros_like)(b) for b in bufs]
+            gq, *gkv = blocks(gbufs)
+            attend_backward(qp.scatter(gheads.reshape(heads_shape)), gq,
+                            *(gkv if kv is None else (np.empty(k.shape, k.dtype), np.empty(v.shape, v.dtype))))
+            grads, param_grads = [g], []
+            for (t, pack, _), gbuf, backward in zip(groups, gbufs, projections):
+                gin, gparams = backward(pack.gather(gbuf).reshape(-1, gbuf.shape[-1]))
+                grads.append(gin.reshape(t.shape))
+                param_grads += gparams
+            return grads + param_grads + [gw, gb]
+
+        params = [p for _, _, lins in groups for lin in lins for p in (lin.weight, lin.bias) if p is not None]
+        return record_op(out, [x] + [t for t, _, _ in groups] + params
+                         + [self.out_proj.weight, self.out_proj.bias], rule)
 
 
 class Embedding(Module):
@@ -366,8 +453,7 @@ class EncoderLayer(Module):
 
     def __call__(self, x: Tensor, mask, rng: Optional[np.random.Generator] = None,
                  pack: Optional[Packing] = None) -> Tensor:
-        h = self.ln1(x)
-        x = self.self_attn(h, h, h, mask, packs=pack and (pack, pack), residual=x,
+        x = self.self_attn(x, self.ln1(x), mask, packs=pack and (pack, pack),
                            rate=self.dropout_rate, rng=rng)
         return self.ffn(x, self.ln2, self.dropout_rate, rng)
 
@@ -389,17 +475,10 @@ class DecoderLayer(Module):
         """``packs``: the (target, source) packings when x and memory are packed rows.
         ``past_kv``: a [keys, values] list of the earlier positions' self-attention keys and
         values, (n, t - 1, d) arrays; x is then the newest position, (n, 1, d), and the list is
-        extended in place with its keys and values.  This path is untaped (decoding only)."""
-        h = self.ln1(x)
-        kv = None
-        if past_kv is not None:
-            kv = [Tensor(np.concatenate((past, new.data), axis=-2))
-                  for past, new in zip(past_kv, self.self_attn.project_kv(h, h))]
-            past_kv[:] = [a.data for a in kv]
-        x = self.self_attn(h, h, h, self_mask, kv, packs and (packs[0], packs[0]), residual=x,
-                           rate=self.dropout_rate, rng=rng)
-        h = self.ln2(x)
-        x = self.cross_attn(h, memory, memory, cross_mask, cross_kv, packs, residual=x,
+        extended in place with its keys and values, which the tape takes as constants (decoding)."""
+        x = self.self_attn(x, self.ln1(x), self_mask, packs=packs and (packs[0], packs[0]),
+                           past_kv=past_kv, rate=self.dropout_rate, rng=rng)
+        x = self.cross_attn(x, self.ln2(x), cross_mask, memory, cross_kv, packs,
                             rate=self.dropout_rate, rng=rng)
         return self.ffn(x, self.ln3, self.dropout_rate, rng)
 

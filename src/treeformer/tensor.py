@@ -144,10 +144,19 @@ def _check_suffix_broadcast(a_shape: tuple, b_shape: tuple) -> None:
         )
 
 
+# per dtype, a vector of ones that ``sum_rows`` slices, first 4096 long; it is never written, and
+# a longer ``g`` replaces it with one twice that length
+_ONES: Dict[np.dtype, np.ndarray] = {}
+
+
 def sum_rows(g: np.ndarray) -> np.ndarray:
     """Column sums of the 2-D ``g`` as one ``ones @ g`` GEMV: numpy's sum over a leading axis
     runs several times slower on the short rows of a (tokens, d_model) gradient."""
-    return np.ones(len(g), dtype=g.dtype) @ g
+    n = len(g)
+    ones = _ONES.get(g.dtype)
+    if ones is None or len(ones) < n:
+        ones = _ONES[g.dtype] = np.ones(max(2 * n, 4096), dtype=g.dtype)
+    return ones[:n] @ g
 
 
 def _sum_to_suffix(shape: tuple, g: np.ndarray) -> np.ndarray:

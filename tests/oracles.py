@@ -47,6 +47,44 @@ def scalar_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def transposing_attention(q, k, v, mask, num_heads: int, g) -> list:
+    """Multi-head attention's output and its q, k and v gradients for the output gradient g, as
+    the package computed them before its core went copy-free: K^T and V^T copied C-ordered, the
+    scores copied key-major for the softmax and back, and every merge of heads a copy.  ``mask``
+    is boolean (None: every key visible), broadcastable to (..., num_heads, Tq, Tk)."""
+    d = q.shape[-1]
+    head_dim = d // num_heads
+
+    def split(x):
+        return x.reshape(x.shape[:-1] + (num_heads, head_dim)).swapaxes(-2, -3)
+
+    def merge(x):
+        x = x.swapaxes(-2, -3)
+        return x.reshape(x.shape[:-2] + (d,))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    n = qh.ndim
+    to_keys, from_keys = (n - 1, *range(n - 1)), (*range(1, n), 0)
+    pk = np.ascontiguousarray((qh @ np.ascontiguousarray(kh.swapaxes(-1, -2))).transpose(to_keys))
+    factor = 1.0 / math.sqrt(head_dim)
+    pk *= factor
+    if mask is not None:
+        bias = np.where(np.moveaxis(np.asarray(mask, dtype=bool), -1, 0),
+                        *np.array([-0.0, -np.inf], dtype=pk.dtype))
+        pk += bias.reshape(bias.shape[:1] + (1,) * (n - bias.ndim) + bias.shape[1:])
+    pk -= pk.max(axis=0)
+    np.exp(pk, out=pk)
+    pk /= pk.sum(axis=0)
+    p = np.ascontiguousarray(pk.transpose(from_keys))
+    gh = split(g)
+    dsk = np.ascontiguousarray((gh @ np.ascontiguousarray(vh.swapaxes(-1, -2))).transpose(to_keys))
+    dsk -= (dsk * pk).sum(axis=0)
+    dsk *= pk
+    ds = np.ascontiguousarray(dsk.transpose(from_keys))
+    ds *= factor
+    return [merge(p @ vh), merge(ds @ kh), merge(ds.swapaxes(-1, -2) @ qh), merge(p.swapaxes(-1, -2) @ gh)]
+
+
 def np_layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) -> np.ndarray:
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)

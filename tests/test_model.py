@@ -322,9 +322,9 @@ class TestForwardStep:
         assert len(cache.cross_kv) == 4
         memory, _ = model.encode(src, 0)
         for layer, kv in zip(model.decoder.layers, cache.cross_kv):
-            for cached, projected in zip(kv, layer.cross_attn.project_kv(memory, memory)):
+            for cached, projected in zip(kv, layer.cross_attn.project_kv(memory)):
                 assert cached.shape == (1, 3, 8)
-                np.testing.assert_array_equal(cached, projected.data)
+                np.testing.assert_array_equal(cached, projected)
         prefixes = self._prefixes(rows)[:, :1]
         np.testing.assert_array_equal(forward_step(model, cache, prefixes),
                                       self._full_decode_logp(model, src, prefixes))

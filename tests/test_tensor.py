@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from treeformer import tensor as tensor_module
 from treeformer.tensor import (
     _sum_to_suffix,
     MaskError,
@@ -126,6 +127,16 @@ class TestLeadingAxisSums:
         assert out.shape == shape and out.dtype == dtype
         assert out.tobytes() == (np.ones(len(rows), dtype=dtype) @ rows).tobytes()
         np.testing.assert_allclose(out, g.sum(axis=tuple(range(g.ndim - len(shape)))), rtol=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sum_rows_slices_of_its_ones_equal_fresh_ones(self, dtype, monkeypatch):
+        # 4096 is the ones buffer's first length: the longer calls make it grow, then use it again
+        monkeypatch.setattr(tensor_module, "_ONES", {})
+        rng = np.random.default_rng(9)
+        for n in (1, 7, 1024, 4096, 4097, 9000, 3, 8193):
+            g = rng.standard_normal((n, 5)).astype(dtype)
+            out = sum_rows(g)
+            assert out.dtype == dtype and out.tobytes() == (np.ones(n, dtype=dtype) @ g).tobytes(), n
 
     def test_sum_rows_of_no_rows_is_zero(self):
         np.testing.assert_array_equal(sum_rows(np.zeros((0, 3), dtype=np.float32)), np.zeros(3))

@@ -22,6 +22,7 @@ import numpy as np
 from . import aggregation
 from .aggregation import tree_span  # noqa: F401  (public here as model.tree_span)
 from .nn import (
+    DROPOUT_RATE_LIMIT,
     AttentionMask,
     DecoderLayer,
     Embedding,
@@ -126,8 +127,8 @@ class ModelConfig:
             raise ConfigError(f"vocab_size must be >= 4 (pad/bos/eos plus symbols), got {self.vocab_size}")
         if self.max_len < 2:
             raise ConfigError(f"max_len must be >= 2, got {self.max_len}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not 0.0 <= self.dropout < DROPOUT_RATE_LIMIT:
+            raise ConfigError(f"dropout must be in [0, 1 - 2**-17), got {self.dropout}")
         if self.inner_dim < 1:
             raise ConfigError(f"agg_inner_dim must be >= 1, got {self.agg_inner_dim}")
         if self.ln_eps <= 0:

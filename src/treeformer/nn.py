@@ -22,7 +22,6 @@ from .tensor import (
     layer_norm_backward,
     layer_norm_forward,
     matmul,
-    mul_elementwise,
     record_op,
     relu,
     sum_rows,
@@ -97,21 +96,48 @@ class FeedForward(Module):
         return ffn_sublayer(x, norm, self, rate, rng)
 
 
-def dropout_mask(shape, dtype, rate: float, rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
-    """The inverted-dropout multiplier for an array of ``shape``: 0 where a unit is dropped,
-    1 / (1 - rate) where it is kept; None when dropout is off (rate 0 or no rng)."""
-    if rate == 0.0 or rng is None:
+# Dropout rates must lie in [0, DROPOUT_RATE_LIMIT): from the limit up, the threshold
+# round(rate * 65536) is 65536 (rate * 65536 is exact, and 65535.5 rounds to even), which no
+# 16-bit lane reaches, so every unit would be dropped.
+DROPOUT_RATE_LIMIT = 1.0 - 2.0 ** -17
+
+
+def dropout_mask(shape, rate: float, rng: Optional[np.random.Generator]) -> Optional[Tuple[np.ndarray, float]]:
+    """The inverted-dropout mask for an array of ``shape``: (keep, scale), a boolean array (one
+    byte per unit) and the factor 65536 / (65536 - t) of the kept units, so every mask has
+    expectation exactly 1.  A unit is dropped where its 16-bit random lane is below the threshold
+    t = round(rate * 65536), so the realised drop probability is t / 65536.  None when dropout is
+    off: no rng, or t = 0.  ValueError naming the rate, with or without an rng, unless
+    0 <= rate < DROPOUT_RATE_LIMIT (NaN too).
+
+    The lanes are the 16-bit quarters of ceil(n / 4) raw 64-bit words of the generator, lane j of
+    word w being (w >> 16 j) & 0xFFFF, on every platform; unit i reads lane i."""
+    if not 0.0 <= rate < DROPOUT_RATE_LIMIT:
+        raise ValueError(f"dropout rate must be in [0, 1 - 2**-17), got {rate!r}")
+    if rng is None:
         return None
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = (rng.random(shape, dtype=np.float32) >= rate).astype(dtype)
-    return keep * (1.0 / (1.0 - rate))
+    t = round(rate * 65536)
+    if t == 0:
+        return None
+    n = math.prod(shape)
+    words = rng.bit_generator.random_raw(-(-n // 4)).astype("<u8", copy=False)
+    return (words.view("<u2")[:n] >= t).reshape(shape), 65536 / (65536 - t)
+
+
+def _dropped(a: np.ndarray, keep: np.ndarray, scale: float, out=None) -> np.ndarray:
+    """a * scale with the dropped units zeroed, into ``out`` (a new array by default)."""
+    out = np.multiply(a, scale, out=out)
+    out *= keep
+    return out
 
 
 def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
-    """Inverted dropout; identity when rate is 0 or no rng is supplied."""
-    mask = dropout_mask(x.data.shape, x.data.dtype, rate, rng)
-    return x if mask is None else mul_elementwise(x, Tensor(mask))
+    """Inverted dropout as one taped op, whose backward keeps only the byte mask; identity when
+    dropout is off (see ``dropout_mask``)."""
+    mask = dropout_mask(x.data.shape, rate, rng)
+    if mask is None:
+        return x
+    return record_op(_dropped(x.data, *mask), (x,), lambda g: (_dropped(g, *mask),))
 
 
 # The fused sublayer ops (``ffn_sublayer`` below and ``MultiHeadAttention``'s call) do the
@@ -126,12 +152,12 @@ def _residual_linear(x: Tensor, rows: np.ndarray, lin: Linear, rate: float, rng)
     f = rows @ w
     f += b
     f = f.reshape(x.data.shape)
-    mask = dropout_mask(f.shape, f.dtype, rate, rng)
+    mask = dropout_mask(f.shape, rate, rng)
     if mask is not None:
-        f *= mask
+        _dropped(f, *mask, out=f)
 
     def backward(g):
-        gf = g if mask is None else g * mask
+        gf = g if mask is None else _dropped(g, *mask)
         g2 = gf.reshape(len(rows), -1)
         return g2 @ w.T, rows.T @ g2, sum_rows(g2)
 
@@ -141,7 +167,7 @@ def _residual_linear(x: Tensor, rows: np.ndarray, lin: Linear, rate: float, rng)
 def ffn_sublayer(x: Tensor, norm: LayerNorm, ffn: FeedForward, rate: float, rng) -> Tensor:
     """x + dropout(W2 relu(W1 LN(x) + b1) + b2) as one taped op: a pre-norm FFN sublayer.
     Backward keeps the layer norm's xhat and 1/std, its output rows, the ReLU output (whose
-    positives are the pre-activation's) and the dropout mask."""
+    positives are the pre-activation's) and the one-byte dropout mask."""
     w1, b1, gamma = ffn.lin1.weight.data, ffn.lin1.bias.data, norm.gamma.data
     h, xhat, inv = layer_norm_forward(x.data, gamma, norm.beta.data, norm.eps)
     rows = h.reshape(-1, h.shape[-1])
@@ -375,7 +401,7 @@ class MultiHeadAttention(Module):
         Projections that read the same input run as one GEMM, and each input's rows are
         scattered once into a (B, T, k * d) buffer that the attention reads column blocks of.
         Backward keeps the projected buffers, the softmax, the merged heads' rows and the
-        dropout mask."""
+        one-byte dropout mask."""
         qp, kvp = packs or (_WHOLE, _WHOLE)
         d = h.shape[-1]
         # (input, its packing, the projections that read it)

@@ -153,7 +153,10 @@ class TestTrain:
         ("task.seed=-3", "task.seed must be >= 0, got -3"),
         ("training.lr_factor=-1", "lr_factor must be > 0, got -1"),
         ("training.lr_factor=0", "lr_factor must be > 0, got 0"),
-    ], ids=["seed", "model_seed", "task_seed", "negative_lr_factor", "zero_lr_factor"])
+        ("model.dropout=1.5", "dropout must be in [0, 1 - 2**-17), got 1.5"),
+        ("model.dropout=0.999995", "dropout must be in [0, 1 - 2**-17), got 0.999995"),
+    ], ids=["seed", "model_seed", "task_seed", "negative_lr_factor", "zero_lr_factor",
+            "dropout_above_one", "dropout_threshold_rounds_to_65536"])
     def test_out_of_range_value_exit_one_before_any_file(self, tmp_path, capsys, option, message):
         cfg = write_config(tmp_path / "exp.json")
         out = tmp_path / "ranged"

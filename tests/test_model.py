@@ -52,6 +52,10 @@ class TestConfig:
             tiny_config(vocab_size=3).validate()
         with pytest.raises(ConfigError):
             tiny_config(dropout=1.0).validate()
+        for rate in (float("nan"), 1 - 2 ** -17):   # nn.DROPOUT_RATE_LIMIT and up
+            with pytest.raises(ConfigError, match="dropout must be in"):
+                tiny_config(dropout=rate).validate()
+        tiny_config(dropout=1 - 2 ** -16).validate()
         with pytest.raises(ConfigError):
             ModelConfig.from_dict({"d_modell": 8})
         with pytest.raises(ConfigError):

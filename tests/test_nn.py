@@ -1,6 +1,7 @@
 """Attention, FFN, embeddings, dropout, and the smoothed loss."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -428,17 +429,97 @@ class TestEmbeddingPieces:
         out = dropout(Tensor(np.ones(100_000)), 0.5, rng)
         assert out.data.mean() == pytest.approx(1.0, abs=0.02)
 
-    def test_dropout_mask_is_drawn_from_float32_uniforms(self):
-        # the stream every run's dropout draws from: a change here changes every training
-        mask = dropout_mask((3, 4), np.float64, 0.25, np.random.default_rng(9))
-        keep = np.random.default_rng(9).random((3, 4), dtype=np.float32) >= 0.25
-        assert mask.dtype == np.float64
-        np.testing.assert_array_equal(mask, np.where(keep, 1.0 / 0.75, 0.0))
-
     def test_dropout_deterministic_under_seed(self):
         a = dropout(Tensor(np.ones(64)), 0.3, np.random.default_rng(9)).data
         b = dropout(Tensor(np.ones(64)), 0.3, np.random.default_rng(9)).data
         np.testing.assert_array_equal(a, b)
+
+
+# rates outside [0, 1), NaN, and rates whose threshold round(rate * 65536) rounds to 65536
+BAD_RATES = [1.5, -0.1, float("nan"), 1.0, 1 - 2 ** -17, 1 - 2 ** -18]
+
+
+def _kept_arrays(rule) -> list:
+    """The (dtype, shape) of every array a backward rule keeps: those its closure cells hold, in
+    lists and tuples, and in the closures of the functions it calls."""
+    kept, seen, todo = [], set(), [rule]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            kept.append((obj.dtype, obj.shape))
+        elif isinstance(obj, (list, tuple)):
+            todo += obj
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo += [cell.cell_contents for cell in obj.__closure__]
+    return sorted(kept, key=repr)
+
+
+class TestDropout:
+    def test_dropout_mask_is_drawn_from_16_bit_lanes_of_raw_words(self):
+        # the stream every run's dropout draws from: a change here changes every training
+        rng = np.random.default_rng(9)
+        keep, scale = dropout_mask((3, 5), 0.25, rng)
+        words = np.random.default_rng(9).bit_generator.random_raw(5)
+        lanes = [(int(w) >> (16 * j)) & 0xFFFF for w in words[:4] for j in range(4)][:15]
+        assert keep.dtype == np.bool_ and keep.itemsize == 1
+        assert keep.tolist() == [[lane >= 16384 for lane in lanes[i:i + 5]] for i in (0, 5, 10)]
+        assert scale == 65536 / (65536 - 16384)
+        # ceil(15 / 4) words were drawn: the next draw reads the fifth
+        assert rng.bit_generator.random_raw() == words[4]
+
+    @pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])
+    def test_keep_fraction_and_mean_within_five_sigma(self, rate):
+        n, t = 200_003, round(rate * 65536)
+        p = 1 - t / 65536
+        keep, scale = dropout_mask((n,), rate, np.random.default_rng(21))
+        assert abs(keep.sum() - n * p) <= 5 * math.sqrt(n * p * (1 - p))
+        assert scale * p == pytest.approx(1.0, rel=1e-15)   # the expectation is exactly 1
+        out = dropout(Tensor(np.ones(n)), rate, np.random.default_rng(21)).data
+        assert abs(out.mean() - 1.0) <= 5 * scale * math.sqrt(p * (1 - p) / n)
+        np.testing.assert_array_equal(out, np.where(keep, scale, 0.0))
+
+    @pytest.mark.parametrize("rate", [2 ** -18, 2 ** -17], ids=["quarter", "half"])
+    def test_rate_whose_threshold_rounds_to_zero_drops_nothing(self, rate):
+        rng = np.random.default_rng(3)
+        x = Tensor(np.ones(1000, dtype=np.float32))
+        assert dropout_mask(x.shape, rate, rng) is None
+        assert dropout(x, rate, rng) is x
+        assert rng.bit_generator.random_raw() == np.random.default_rng(3).bit_generator.random_raw()
+
+    def test_a_lane_equal_to_the_threshold_is_kept(self):
+        lane = int(np.random.default_rng(9).bit_generator.random_raw()) & 0xFFFF   # 34593
+        for t, kept in ((lane, True), (lane + 1, False)):
+            keep, _ = dropout_mask((1,), t / 65536, np.random.default_rng(9))
+            assert keep[0] == kept
+
+    def test_smallest_threshold_scales_by_65536_over_65535(self):
+        keep, scale = dropout_mask((64,), 1.2 / 65536, np.random.default_rng(0))
+        assert scale == 65536 / 65535
+
+    @pytest.mark.parametrize("rng_seed", [None, 0], ids=["no_rng", "rng"])
+    @pytest.mark.parametrize("rate", BAD_RATES)
+    def test_bad_rate_raises_naming_it(self, rate, rng_seed):
+        rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+        with pytest.raises(ValueError, match=re.escape(repr(rate))):
+            dropout(Tensor(np.ones(4)), rate, rng)
+        with pytest.raises(ValueError, match=re.escape(repr(rate))):
+            dropout_mask((4,), rate, rng)
+
+    @pytest.mark.parametrize("rate", [1 - 2 ** -16, float(np.nextafter(1 - 2 ** -17, 0))],
+                             ids=["exact", "largest_float"])
+    def test_rates_below_the_bound_with_threshold_65535_are_accepted(self, rate):
+        keep, scale = dropout_mask((4096,), rate, np.random.default_rng(0))
+        assert scale == 65536.0 and keep.sum() < 10
+
+    def test_dropout_op_keeps_only_the_byte_mask(self):
+        x = Tensor(np.ones((4, 3), dtype=np.float32), requires_grad=True)
+        with Tape() as tape:
+            dropout(x, 0.5, np.random.default_rng(0))
+        (_, _, rule), = tape._records
+        assert _kept_arrays(rule) == [(np.dtype(bool), (4, 3))]
 
 
 class TestLabelSmoothedCE:
@@ -632,6 +713,16 @@ class TestFusedSublayers:
 
         assert grad_check(f, Tensor(start.data)) <= 1e-5
 
+    @pytest.mark.parametrize("layout", list(FUSED_LAYOUTS))
+    def test_dropout_adds_only_the_byte_mask_to_what_backward_keeps(self, layout):
+        x, layers, _ = _ffn_case(layout, np.float32)
+        kept = {}
+        for rng in (np.random.default_rng(DROPOUT_SEED), None):
+            with Tape() as tape:
+                ffn_sublayer(x, *layers, 0.3, rng)
+            kept[rng is None] = _kept_arrays(tape._records[0][2])
+        assert sorted(kept[True] + [(np.dtype(bool), x.shape)], key=repr) == kept[False]
+
     @pytest.mark.parametrize("structure,formula,records",
                              [("rtal", "ewp_ffn", 67), ("none", "mean", 45), ("linear", "mean", 47)])
     def test_tape_records_of_one_training_step_are_pinned(self, structure, formula, records):
@@ -732,6 +823,17 @@ class TestAttentionSublayer:
             return _sublayer(mha, inputs, mask, packs, 0.3, np.random.default_rng(DROPOUT_SEED))
 
         assert grad_check(f, Tensor(start.data)) <= 1e-5
+
+    @pytest.mark.parametrize("packed", [True, False], ids=["packed_rows", "batched"])
+    @pytest.mark.parametrize("kind", list(SUBLAYER_INPUTS))
+    def test_dropout_adds_only_the_byte_mask_to_what_backward_keeps(self, kind, packed):
+        mha, inputs, mask, packs = _sublayer_case(kind, packed, np.float32)
+        kept = {}
+        for rng in (np.random.default_rng(DROPOUT_SEED), None):
+            with Tape() as tape:
+                _sublayer(mha, inputs, mask, packs, 0.3, rng)
+            kept[rng is None] = _kept_arrays(tape._records[0][2])
+        assert sorted(kept[True] + [(np.dtype(bool), inputs["x"].shape)], key=repr) == kept[False]
 
     def test_cached_keys_and_values_equal_projecting_memory(self):
         mha, inputs, mask, _ = _sublayer_case("cross", False, np.float32)
